@@ -1,6 +1,7 @@
 // Benchmarks regenerating every table and figure of the paper's
-// evaluation (§4), one testing.B benchmark per figure, plus the ablations
-// DESIGN.md calls out and micro-benchmarks of the substrates. Each
+// evaluation (§4), one testing.B benchmark per figure, plus the paper's
+// design ablations (ROADMAP.md, aim 2: read references, preprocessing,
+// GC, batch size) and micro-benchmarks of the substrates. Each
 // benchmark reports committed-transaction throughput as the custom metric
 // "txns/sec" — the unit on the paper's y-axes.
 //
@@ -16,9 +17,11 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"bohm/client"
 	"bohm/internal/bench"
 	"bohm/internal/core"
 	"bohm/internal/engine"
+	"bohm/internal/server"
 	"bohm/internal/storage"
 	"bohm/internal/txn"
 	"bohm/internal/workload"
@@ -457,6 +460,77 @@ func BenchmarkAllocYCSBPointWriteDurable(b *testing.B) {
 	reg := NewRegistry()
 	workload.RegisterYCSB(reg, benchRecordSize)
 	driveAllocBench(b, cfg, bench.PointWriteCallWindows(reg, benchRecords, 4096, 256))
+}
+
+// BenchmarkAllocServedRoundTrip is the served path's allocation budget
+// benchmark CI enforces, one op per transaction: ycsb.rmw registry calls
+// (10 keys each) pipelined at depth 64 from one client connection,
+// through a loopback server.New, into a durable engine (sync policy
+// "never", as in BenchmarkAllocYCSBPointWriteDurable). The server's
+// request slots decode every frame in place and rebuild each slot's
+// transaction in place, so what remains per transaction is the client's
+// Pending plus the batcher's and engine's per-batch slices.
+func BenchmarkAllocServedRoundTrip(b *testing.B) {
+	const depth = 64
+	cfg := core.DefaultConfig()
+	cfg.CCWorkers, cfg.ExecWorkers = 2, 2
+	cfg.Capacity = benchRecords
+	cfg.LogDir = b.TempDir()
+	cfg.SyncPolicy = SyncNever
+	reg := NewRegistry()
+	workload.RegisterYCSB(reg, benchRecordSize)
+	y := workload.YCSB{Records: benchRecords, RecordSize: benchRecordSize}
+	e, err := core.New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer e.Close()
+	if err := y.LoadInto(e); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(e, reg, server.Config{Addr: "127.0.0.1:0"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := client.Dial(srv.Addr(), &client.Options{PipelineDepth: depth})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+
+	src := y.NewSource(1, 0)
+	calls := make([]txn.Txn, 16*depth)
+	for i := range calls {
+		calls[i] = src.RMW10Call(reg)
+	}
+	// drive keeps depth submissions in flight, waiting for the oldest
+	// before each new one, and drains the pipeline before returning.
+	inflight := make([]*client.Pending, depth)
+	drive := func(n int) {
+		for i := 0; i < n+depth; i++ {
+			slot := i % depth
+			if p := inflight[slot]; p != nil {
+				if err := p.Wait(); err != nil {
+					b.Fatal(err)
+				}
+				inflight[slot] = nil
+			}
+			if i >= n {
+				continue
+			}
+			p, err := c.Submit(calls[i%len(calls)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			inflight[slot] = p
+		}
+	}
+	drive(4 * len(calls)) // warm every request slot, buffer and pool
+	runtime.GC()
+	b.ReportAllocs()
+	b.ResetTimer()
+	drive(b.N)
 }
 
 // benchAllocFastRead measures allocs/op on the single-key read-only path:

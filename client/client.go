@@ -67,17 +67,22 @@ type Conn struct {
 // Pending is an in-flight submission. Wait blocks until the server's
 // acknowledgement (durable and executed) or connection failure.
 type Pending struct {
-	done   chan struct{}
+	done   sync.WaitGroup // one count, released by resolve
 	err    error
 	result []byte
-	token  uint64
+}
+
+// resolve records the outcome and releases every waiter; called once.
+func (p *Pending) resolve(err error, result []byte) {
+	p.err, p.result = err, result
+	p.done.Done()
 }
 
 // Wait blocks for the outcome: nil for commit, the remote error
 // otherwise (errors.Is works against the bohm sentinels — ErrNotFound,
 // ErrAbort, ErrDurabilityLost, ...).
 func (p *Pending) Wait() error {
-	<-p.done
+	p.done.Wait()
 	return p.err
 }
 
@@ -85,7 +90,7 @@ func (p *Pending) Wait() error {
 // implementing a Result() method, like kv.get), valid after Wait
 // returns nil.
 func (p *Pending) Result() []byte {
-	<-p.done
+	p.done.Wait()
 	return p.result
 }
 
@@ -229,7 +234,8 @@ func (c *Conn) submit(t txn.Txn, flags byte, flush bool) (*Pending, error) {
 	}
 
 	req.ID = c.nextID.Add(1)
-	p := &Pending{done: make(chan struct{})}
+	p := &Pending{}
+	p.done.Add(1)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -241,7 +247,7 @@ func (c *Conn) submit(t txn.Txn, flags byte, flush bool) (*Pending, error) {
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	c.wb = wire.AppendRequest(c.wb[:0], &req)
+	c.wb = wire.AppendRequest(wire.StartFrame(c.wb), &req)
 	err := wire.WriteFrame(c.bw, c.wb)
 	if err == nil && flush {
 		err = c.bw.Flush()
@@ -293,10 +299,7 @@ func (c *Conn) readLoop() {
 		if p == nil {
 			continue // response to a submission we already failed
 		}
-		p.err = wire.ErrorFor(resp.Status, resp.Msg)
-		p.result = resp.Result
-		p.token = resp.Token
-		close(p.done)
+		p.resolve(wire.ErrorFor(resp.Status, resp.Msg), resp.Result)
 		<-c.slots
 	}
 }
@@ -315,8 +318,7 @@ func (c *Conn) fail(err error) {
 	c.mu.Unlock()
 	close(c.dead) // unblock slot waiters
 	for _, p := range ps {
-		p.err = err
-		close(p.done)
+		p.resolve(err, nil)
 	}
 }
 

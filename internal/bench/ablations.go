@@ -8,8 +8,8 @@ import (
 	"bohm/internal/workload"
 )
 
-// Ablations isolate the design choices DESIGN.md calls out: the read-
-// reference annotation (§3.2.3), incremental garbage collection (§3.3.2),
+// Ablations isolate the paper's design choices, which ROADMAP.md (aim 2)
+// keeps as the §4 ablations: the read-reference annotation (§3.2.3), incremental garbage collection (§3.3.2),
 // and batch-granularity coordination (§3.2.4, including BatchSize=1,
 // which degenerates to the per-transaction barrier the paper rejects).
 

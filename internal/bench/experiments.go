@@ -79,8 +79,8 @@ var Quick = Scale{
 	ServerDepths: []int{1, 8, 32},
 }
 
-// Ref is the reference configuration for EXPERIMENTS.md on small hosts:
-// the paper's table and record sizes with shorter runs and a thread sweep
+// Ref is the reference configuration for small hosts (`bohm-bench
+// -scale ref`; README.md, Benchmarks): the paper's table and record sizes with shorter runs and a thread sweep
 // sized for single-digit core counts.
 var Ref = Scale{
 	Name:         "ref",
@@ -157,7 +157,8 @@ type Experiment struct {
 }
 
 // Experiments lists every reproducible figure and table plus the design
-// ablations; ids match DESIGN.md's experiment index.
+// ablations; ids are what `bohm-bench -exp` takes and `-list` prints
+// (README.md, Benchmarks).
 var Experiments = []Experiment{
 	{"fig4", "Concurrency control / execution module interaction", Fig4},
 	{"fig5", "YCSB 10RMW throughput (high and low contention)", Fig5},

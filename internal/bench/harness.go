@@ -105,8 +105,8 @@ type Options struct {
 	// Procs, when positive, sets GOMAXPROCS for the duration of the run.
 	// On machines with fewer cores than the simulated thread count this
 	// oversubscribes the cores, letting the kernel timeslice the worker
-	// threads so that contention effects interleave at fine grain (see
-	// DESIGN.md's substitution table).
+	// threads so that contention effects interleave at fine grain — the
+	// stand-in for the paper's many-core host.
 	Procs int
 	// Label tags the run in machine-readable reports; sweeps use it to
 	// distinguish configurations of the same engine (e.g. "procs=4,theta=0.9").

@@ -214,14 +214,14 @@ func (b *batcher) run(batch []*request, lane int) {
 	eng := b.srv.eng
 	ts := make([]txn.Txn, len(batch))
 	for i, r := range batch {
-		ts[i] = r.t
+		ts[i] = &r.w
 	}
 	var errs []error
 	if lane == readLane {
 		var maxTok uint64
 		for _, r := range batch {
-			if r.token > maxTok {
-				maxTok = r.token
+			if r.q.Token > maxTok {
+				maxTok = r.q.Token
 			}
 		}
 		eng.WaitCovered(maxTok)

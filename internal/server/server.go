@@ -26,6 +26,16 @@
 // frames when they are gone, pushing back on the client's TCP window —
 // and the lane queue plus MaxInFlight dispatched batches bound the
 // server's total appetite.
+//
+// Ownership: each connection preallocates its PipelineDepth slots, and a
+// slot carries one request from frame to response — the frame buffer,
+// the wire.Request decoded in place from it, the transaction built from
+// that, and the response fields. All of them belong to the slot and are
+// reused for a later request once the response has been encoded, which
+// is only after the engine call that ran the transaction has returned.
+// Frames above maxRetainedFrame are not kept past their request. So the
+// served round trip allocates nothing per request on the server once a
+// connection's slots are warm (per-batch slices aside).
 package server
 
 import (
@@ -155,15 +165,7 @@ func (s *Server) register(nc net.Conn) *conn {
 	if s.closed {
 		return nil
 	}
-	c := &conn{
-		srv:        s,
-		c:          nc,
-		out:        make(chan *wire.Response, s.cfg.PipelineDepth),
-		slots:      make(chan struct{}, s.cfg.PipelineDepth),
-		die:        make(chan struct{}),
-		readerDone: make(chan struct{}),
-		writerDone: make(chan struct{}),
-	}
+	c := newConn(s, nc)
 	s.conns[c] = struct{}{}
 	s.connWG.Add(1)
 	return c
@@ -199,33 +201,77 @@ func (s *Server) Close() error {
 		c.kick()
 	}
 	s.connWG.Wait()
-	// Every connection has drained (all pipeline slots reacquired), so no
+	// Every connection has drained (all request slots reacquired), so no
 	// submitter remains and the lanes can close.
 	s.b.stop()
 	return err
 }
 
-// request is one submitted transaction in flight through the batcher.
+// maxRetainedFrame caps the frame buffer a slot keeps between requests,
+// so one large request does not pin its buffer — nor the decoded sets
+// and the transaction sized by it — for the life of the connection.
+const maxRetainedFrame = 64 << 10
+
+// request is one pipeline slot of a connection and the submission it
+// currently carries: reader → batcher lane → engine → writer, then back
+// on the connection's free list. See the package comment for what the
+// slot owns.
 type request struct {
 	c     *conn
-	id    uint64
-	token uint64
-	t     txn.Txn // what the batch executes (wire wrapper, Loggable)
-	inner txn.Txn // factory-built transaction, for txn.Resulter
+	frame []byte       // the request frame's buffer
+	q     wire.Request // decoded in place from frame
+	w     wireTxn      // what the batch executes
+	// proc is the procedure w.inner was built for: a later request for
+	// the same procedure rebuilds it in place when it is a
+	// txn.Rebuilder.
+	proc string
+	resp wire.Response // encoded by the writer
 }
 
-// finish builds the response and hands it to the connection's writer.
-// The request still holds its pipeline slot, so the buffered send can
-// never block (cap(out) == PipelineDepth >= outstanding requests).
-func (r *request) finish(err error, token uint64) {
-	resp := &wire.Response{ID: r.id, Token: token}
-	if err != nil {
-		resp.Status = wire.StatusFor(err)
-		resp.Msg = err.Error()
-	} else if res, ok := r.inner.(txn.Resulter); ok {
-		resp.Result = res.Result()
+// build readies the slot's transaction for its decoded request: the
+// previous one rebuilt in place when it came from the same procedure and
+// supports it, a fresh one from the procedure's factory otherwise.
+func (r *request) build(f txn.Factory) error {
+	rec := &r.q.Rec
+	if rb, ok := r.w.inner.(txn.Rebuilder); ok && r.proc == rec.Proc && rb.Rebuild(rec.Args) == nil {
+		return nil
 	}
-	r.c.out <- resp
+	r.w.inner, r.proc = nil, ""
+	t, err := f(rec.Args)
+	if err != nil {
+		return fmt.Errorf("building procedure %q: %w", rec.Proc, err)
+	}
+	if t == nil {
+		return fmt.Errorf("factory for %q returned nil transaction", rec.Proc)
+	}
+	r.w.inner, r.proc = t, rec.Proc
+	return nil
+}
+
+// finish fills in the response and hands the slot to the connection's
+// writer. The send never blocks: ready holds every slot.
+func (r *request) finish(err error, token uint64) {
+	r.resp = wire.Response{ID: r.q.ID, Token: token}
+	if err != nil {
+		r.resp.Status = wire.StatusFor(err)
+		r.resp.Msg = err.Error()
+	} else if res, ok := r.w.inner.(txn.Resulter); ok {
+		r.resp.Result = res.Result()
+	}
+	r.c.ready <- r
+}
+
+// recycle returns the slot to the free list once its response has been
+// encoded, first dropping everything a large request or result could
+// have sized: the frame, the decoded request and the transaction.
+func (r *request) recycle() {
+	if cap(r.frame) > maxRetainedFrame || cap(r.resp.Result) > maxRetainedFrame {
+		r.frame = nil
+		r.q = wire.Request{}
+		r.w.inner, r.proc = nil, ""
+	}
+	r.resp = wire.Response{}
+	r.c.free <- r
 }
 
 // wireTxn wraps a registry-built transaction with the identity and
@@ -235,7 +281,7 @@ func (r *request) finish(err error, token uint64) {
 // transaction's own sets stand.
 type wireTxn struct {
 	inner    txn.Txn
-	rec      txn.Record
+	rec      *txn.Record
 	declared bool
 }
 
@@ -268,19 +314,42 @@ func (t *wireTxn) Procedure() (string, []byte) { return t.rec.Proc, t.rec.Args }
 
 // conn is one client connection: a reader goroutine (frames → requests →
 // batcher lanes), a writer goroutine (responses → frames), and the
-// pipeline-slot semaphore tying their rates together.
+// request slots circulating between them.
 type conn struct {
-	srv *Server
-	c   net.Conn
-	out chan *wire.Response
-	// slots is the pipeline-depth semaphore: the reader fills a slot per
-	// accepted frame, the writer empties it once the response is on the
-	// wire. Draining a connection = filling every slot.
-	slots      chan struct{}
+	srv   *Server
+	c     net.Conn
+	slots []request
+	// free holds the slots no request occupies: the reader takes one per
+	// frame, the writer puts it back once the response is encoded.
+	// Draining a connection = taking every slot. ready carries finished
+	// slots to the writer. Both hold every slot, so sends never block.
+	free       chan *request
+	ready      chan *request
 	die        chan struct{}
 	kickOnce   sync.Once
 	readerDone chan struct{}
 	writerDone chan struct{}
+}
+
+func newConn(s *Server, nc net.Conn) *conn {
+	depth := s.cfg.PipelineDepth
+	c := &conn{
+		srv:        s,
+		c:          nc,
+		slots:      make([]request, depth),
+		free:       make(chan *request, depth),
+		ready:      make(chan *request, depth),
+		die:        make(chan struct{}),
+		readerDone: make(chan struct{}),
+		writerDone: make(chan struct{}),
+	}
+	for i := range c.slots {
+		r := &c.slots[i]
+		r.c = c
+		r.w.rec = &r.q.Rec
+		c.free <- r
+	}
+	return c
 }
 
 // kick unblocks a connection's goroutines for teardown: the reader via
@@ -301,14 +370,14 @@ func (c *conn) run() {
 	c.readLoop()
 	close(c.readerDone)
 	c.kick()
-	// Drain: every outstanding request holds a slot, released only after
-	// its response is written (or the writer has failed past it). Filling
-	// the whole semaphore proves nothing is left in the batcher or the
-	// out queue for this connection.
-	for i := 0; i < cap(c.slots); i++ {
-		c.slots <- struct{}{}
+	// Drain: every outstanding request holds a slot, returned only after
+	// its response is encoded (or the writer has failed past it). Taking
+	// every slot proves nothing is left in the batcher or the ready queue
+	// for this connection.
+	for range c.slots {
+		<-c.free
 	}
-	close(c.out)
+	close(c.ready)
 	<-c.writerDone
 	_ = c.c.Close()
 	c.srv.forget(c)
@@ -321,38 +390,43 @@ func (c *conn) readLoop() {
 		return
 	}
 	for {
-		// Frames are read into fresh buffers: decoded args are retained
-		// by the built transactions for the life of the request.
-		payload, err := wire.ReadFrame(br, nil)
-		if err != nil {
-			return
-		}
-		if len(payload) == 0 || payload[0] != wire.MsgSubmit {
-			return
-		}
-		req, err := wire.DecodeRequest(payload[1:])
-		if err != nil {
-			return
-		}
+		var r *request
 		select {
-		case c.slots <- struct{}{}:
+		case r = <-c.free:
 		case <-c.die:
 			return
 		}
-		c.handle(&req)
+		if !c.read(br, r) {
+			c.free <- r
+			return
+		}
+		c.handle(r)
 	}
+}
+
+// read reads and decodes the next submit frame into r; false means the
+// connection is done (closed, broken, or speaking nonsense).
+func (c *conn) read(br *bufio.Reader, r *request) bool {
+	payload, err := wire.ReadFrame(br, r.frame)
+	if err != nil {
+		return false
+	}
+	r.frame = payload
+	return len(payload) > 0 && payload[0] == wire.MsgSubmit &&
+		wire.DecodeRequest(payload[1:], &r.q) == nil
 }
 
 // handle admits one decoded submit: fail-fast checks, transaction
 // build, lane routing. Runs on the reader goroutine, so per-connection
 // submission order is preserved into the write lane.
-func (c *conn) handle(q *wire.Request) {
+func (c *conn) handle(r *request) {
 	s := c.srv
 	m := s.m
+	q := &r.q
 	readOnly := q.Flags&wire.FlagReadOnly != 0
 
 	if h, cause := s.eng.Health(); h == core.Closed {
-		c.reject(q.ID, wire.StatusClosed, core.ErrClosed.Error())
+		c.reject(r, wire.StatusClosed, core.ErrClosed.Error())
 		return
 	} else if h == core.LogDegraded && !readOnly {
 		// Fail writes fast without spending batcher capacity; reads keep
@@ -361,80 +435,76 @@ func (c *conn) handle(q *wire.Request) {
 		if cause != nil {
 			msg += ": " + cause.Error()
 		}
-		c.reject(q.ID, wire.StatusDurabilityLost, msg)
+		c.reject(r, wire.StatusDurabilityLost, msg)
 		return
 	}
 
-	if !s.reg.Registered(q.Rec.Proc) {
-		c.reject(q.ID, wire.StatusUnknownProc, fmt.Sprintf("unknown procedure %q", q.Rec.Proc))
+	f, ok := s.reg.Lookup(q.Rec.Proc)
+	if !ok {
+		c.reject(r, wire.StatusUnknownProc, fmt.Sprintf("unknown procedure %q", q.Rec.Proc))
 		return
 	}
-	inner, err := s.reg.Build(q.Rec.Proc, q.Rec.Args)
-	if err != nil {
-		c.reject(q.ID, wire.StatusBadRequest, err.Error())
+	if err := r.build(f); err != nil {
+		c.reject(r, wire.StatusBadRequest, err.Error())
 		return
 	}
-	declared := len(q.Rec.Reads)+len(q.Rec.Writes)+len(q.Rec.Ranges) > 0
-	req := &request{
-		c:     c,
-		id:    q.ID,
-		token: q.Token,
-		t:     &wireTxn{inner: inner, rec: q.Rec, declared: declared},
-		inner: inner,
-	}
+	r.w.declared = len(q.Rec.Reads)+len(q.Rec.Writes)+len(q.Rec.Ranges) > 0
 	m.submitted.Add(1)
 	m.queued.Add(1)
 	if readOnly {
-		s.b.ro <- req
+		s.b.ro <- r
 	} else {
-		s.b.in <- req
+		s.b.in <- r
 	}
 }
 
-// reject responds without touching the batcher; the request's slot is
-// released by the writer like any other response.
-func (c *conn) reject(id uint64, status byte, msg string) {
+// reject responds without touching the batcher; the writer recycles the
+// slot like any other.
+func (c *conn) reject(r *request, status byte, msg string) {
 	c.srv.m.rejected.Add(1)
-	c.out <- &wire.Response{ID: id, Status: status, Token: c.srv.eng.AckedBatch(), Msg: msg}
+	r.resp = wire.Response{ID: r.q.ID, Status: status, Token: c.srv.eng.AckedBatch(), Msg: msg}
+	c.ready <- r
 }
 
 // writeLoop frames responses back to the client, flushing whenever the
-// queue goes momentarily empty. After a write error it keeps draining —
-// and keeps releasing pipeline slots, which the drain in run() depends
-// on — without writing.
+// queue goes momentarily empty, and recycles each slot once its
+// response is encoded. After a write error it keeps draining — and
+// keeps recycling slots, which the drain in run() depends on — without
+// writing.
 func (c *conn) writeLoop() {
 	defer close(c.writerDone)
 	bw := bufio.NewWriterSize(c.c, 64<<10)
 	var buf []byte
 	failed := false
-	write := func(r *wire.Response) {
-		if failed {
-			return
+	write := func(r *request) {
+		if !failed {
+			buf = wire.AppendResponse(wire.StartFrame(buf), &r.resp)
+			if err := wire.WriteFrame(bw, buf); err != nil {
+				failed = true
+			}
+			if cap(buf) > maxRetainedFrame {
+				buf = nil
+			}
 		}
-		buf = wire.AppendResponse(buf[:0], r)
-		if err := wire.WriteFrame(bw, buf); err != nil {
-			failed = true
-		}
+		r.recycle()
 	}
 	for {
 		select {
-		case r, ok := <-c.out:
+		case r, ok := <-c.ready:
 			if !ok {
 				_ = bw.Flush()
 				return
 			}
 			write(r)
-			<-c.slots
 		default:
 			if !failed && bw.Flush() != nil {
 				failed = true
 			}
-			r, ok := <-c.out
+			r, ok := <-c.ready
 			if !ok {
 				return
 			}
 			write(r)
-			<-c.slots
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -21,19 +22,21 @@ import (
 
 const (
 	accountTable   = 1
+	counterTable   = 2 // ycsb.rmw counters, 8-byte records
 	accounts       = 64
 	initialBalance = uint64(1000)
 )
 
 func acct(id uint64) txn.Key { return txn.Key{Table: accountTable, ID: id} }
 
-// startServer builds an engine + registry (KV procedures) + server on a
-// loopback port and registers cleanup in dependency order: server
-// first, then engine.
+// startServer builds an engine + registry (KV procedures, and YCSB's over
+// 8-byte records) + server on a loopback port and registers cleanup in
+// dependency order: server first, then engine.
 func startServer(t *testing.T, cfg core.Config, scfg Config) (*core.Engine, *txn.Registry, *Server) {
 	t.Helper()
 	reg := txn.NewRegistry()
 	workload.RegisterKV(reg)
+	workload.RegisterYCSB(reg, 8)
 	var (
 		eng *core.Engine
 		err error
@@ -109,24 +112,48 @@ func readBalances(t *testing.T, reg *txn.Registry, addr string, tok uint64) uint
 }
 
 // TestLoopbackSmokeConservedTransfers floods the server from concurrent
-// goroutine clients doing kv.transfer among a shared account set. The
-// invariant — transfers conserve the total — catches lost, duplicated,
-// or misordered executions; the fill histogram proves transactions from
-// different connections actually shared batches.
+// goroutine clients mixing kv.transfer and ycsb.rmw writes with kv.get
+// reads on the read lane, all on a few hot keys, so every connection's
+// request slots keep switching between procedures and rebuilding
+// transactions in place. The invariants — transfers conserve the total,
+// RMW counters sum to exactly two per acknowledged RMW, every read
+// returns an 8-byte balance — catch lost, duplicated or misordered
+// executions and a slot reused while still in flight; the fill
+// histogram proves transactions from different connections actually
+// shared batches.
 func TestLoopbackSmokeConservedTransfers(t *testing.T) {
 	cfg := core.DefaultConfig()
-	_, reg, srv := startServer(t, cfg, Config{})
+	_, reg, srv := startServer(t, cfg, Config{PipelineDepth: 8})
 	loadAccounts(t, reg, srv.Addr())
 
 	const (
 		clients = 8
 		rounds  = 25
 		chunk   = 16
+		hot     = 4 // accounts and counters the traffic contends on
 	)
+	counter := func(id uint64) txn.Key { return txn.Key{Table: counterTable, ID: id} }
+	loader, err := client.Dial(srv.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zeros := make([]txn.Txn, hot)
+	for i := range zeros {
+		zeros[i] = reg.MustCall(workload.ProcKVPut, workload.KVPutArgs(counter(uint64(i)), make([]byte, 8)))
+	}
+	for _, err := range loader.ExecuteBatch(zeros) {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	loadTok := loader.Token()
+	_ = loader.Close()
+
 	var (
 		wg     sync.WaitGroup
 		mu     sync.Mutex
 		maxTok uint64
+		rmws   uint64 // acknowledged ycsb.rmw calls
 	)
 	errCh := make(chan error, clients)
 	for ci := 0; ci < clients; ci++ {
@@ -139,31 +166,54 @@ func TestLoopbackSmokeConservedTransfers(t *testing.T) {
 				return
 			}
 			defer c.Close()
+			c.ObserveToken(loadTok)
 			rng := rand.New(rand.NewSource(int64(ci) + 1))
+			var acked uint64
 			for r := 0; r < rounds; r++ {
-				ts := make([]txn.Txn, chunk)
-				for i := range ts {
-					from := uint64(rng.Intn(accounts))
-					to := uint64(rng.Intn(accounts - 1))
+				ps := make([]*client.Pending, chunk)
+				kinds := make([]int, chunk)
+				for i := range ps {
+					from := uint64(rng.Intn(hot))
+					to := uint64(rng.Intn(hot - 1))
 					if to >= from {
 						to++ // from == to would be a duplicate write key
 					}
-					amt := uint64(rng.Intn(10) + 1)
-					ts[i] = reg.MustCall(workload.ProcKVTransfer,
-						workload.KVTransferArgs(acct(from), acct(to), amt))
-				}
-				for i, err := range c.ExecuteBatch(ts) {
-					// Insufficient funds is a legal abort; anything else fails.
-					if err != nil && !errors.Is(err, txn.ErrAbort) {
-						errCh <- fmt.Errorf("client %d round %d txn %d: %w", ci, r, i, err)
+					var p *client.Pending
+					switch kinds[i] = rng.Intn(3); kinds[i] {
+					case 0:
+						p, err = c.Submit(reg.MustCall(workload.ProcKVTransfer,
+							workload.KVTransferArgs(acct(from), acct(to), uint64(rng.Intn(10)+1))))
+					case 1:
+						p, err = c.SubmitReadOnly(reg.MustCall(workload.ProcKVGet, workload.KVGetArgs(acct(from))))
+					default:
+						p, err = c.Submit(reg.MustCall(workload.ProcRMW,
+							workload.EncodeKeys([]txn.Key{counter(from), counter(to)})))
+					}
+					if err != nil {
+						errCh <- fmt.Errorf("client %d round %d submit %d: %w", ci, r, i, err)
 						return
+					}
+					ps[i] = p
+				}
+				for i, p := range ps {
+					err := p.Wait()
+					switch {
+					case kinds[i] == 0 && errors.Is(err, txn.ErrAbort):
+						// Insufficient funds is a legal abort.
+					case err != nil:
+						errCh <- fmt.Errorf("client %d round %d txn %d (kind %d): %w", ci, r, i, kinds[i], err)
+						return
+					case kinds[i] == 1 && len(p.Result()) != 8:
+						errCh <- fmt.Errorf("client %d round %d: kv.get returned %d bytes, want 8", ci, r, len(p.Result()))
+						return
+					case kinds[i] == 2:
+						acked++
 					}
 				}
 			}
 			mu.Lock()
-			if tok := c.Token(); tok > maxTok {
-				maxTok = tok
-			}
+			maxTok = max(maxTok, c.Token())
+			rmws += acked
 			mu.Unlock()
 		}(ci)
 	}
@@ -176,8 +226,89 @@ func TestLoopbackSmokeConservedTransfers(t *testing.T) {
 	if got, want := readBalances(t, reg, srv.Addr(), maxTok), initialBalance*accounts; got != want {
 		t.Fatalf("balance sum after concurrent transfers = %d, want %d", got, want)
 	}
+	c, err := client.Dial(srv.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.ObserveToken(maxTok)
+	var sum uint64
+	for i := uint64(0); i < hot; i++ {
+		p, err := c.SubmitReadOnly(reg.MustCall(workload.ProcKVGet, workload.KVGetArgs(counter(i))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Wait(); err != nil {
+			t.Fatalf("counter %d: %v", i, err)
+		}
+		sum += txn.U64(p.Result())
+	}
+	if sum != 2*rmws {
+		t.Fatalf("RMW counters sum to %d after %d acknowledged RMWs, want %d", sum, rmws, 2*rmws)
+	}
 	if snap := srv.m.fill.Snapshot(); snap.Max < 2 {
 		t.Errorf("group batcher never coalesced: max batch fill %d", snap.Max)
+	}
+}
+
+// TestLargeFrameNotRetained writes and reads back an 8 MiB value: once
+// both responses are written, no request slot may keep a buffer above
+// maxRetainedFrame — not the frame, not the decoded args, not the
+// transaction built from them or its result.
+func TestLargeFrameNotRetained(t *testing.T) {
+	_, reg, srv := startServer(t, core.DefaultConfig(), Config{})
+	c, err := client.Dial(srv.Addr(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	big := make([]byte, 8<<20)
+	big[len(big)-1] = 1
+	p, err := c.Submit(reg.MustCall(workload.ProcKVPut, workload.KVPutArgs(acct(0), big)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if p, err = c.SubmitReadOnly(reg.MustCall(workload.ProcKVGet, workload.KVGetArgs(acct(0)))); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Wait(); err != nil || !bytes.Equal(p.Result(), big) {
+		t.Fatalf("reading the big value back: %d bytes, %v", len(p.Result()), err)
+	}
+
+	srv.mu.Lock()
+	var sc *conn
+	for x := range srv.conns {
+		sc = x
+	}
+	srv.mu.Unlock()
+	// The reader holds one slot while it waits for the next frame. Taking
+	// every other slot off the free list orders this goroutine after the
+	// writer recycled them.
+	held := make([]*request, len(sc.slots)-1)
+	for i := range held {
+		held[i] = <-sc.free
+	}
+	defer func() {
+		for _, r := range held {
+			sc.free <- r
+		}
+	}()
+	for i, r := range held {
+		sizes := []int{cap(r.frame), cap(r.q.Rec.Args), cap(r.resp.Result)}
+		switch x := r.w.inner.(type) {
+		case *workload.KVPutTxn:
+			sizes = append(sizes, cap(x.V))
+		case *workload.KVGetTxn:
+			sizes = append(sizes, cap(x.Result()))
+		}
+		for _, n := range sizes {
+			if n > maxRetainedFrame {
+				t.Errorf("slot %d keeps a %d-byte buffer (%T), cap %d", i, n, r.w.inner, maxRetainedFrame)
+			}
+		}
 	}
 }
 

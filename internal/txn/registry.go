@@ -29,6 +29,23 @@ type Loggable interface {
 // access sets and the same logic.
 type Factory func(args []byte) (Txn, error)
 
+// Rebuilder is an optional interface for factory-built transactions
+// that can be rebuilt in place for new arguments, so a caller executing
+// a stream of calls to one procedure (the network server, per pipeline
+// slot) reuses one transaction instead of building a fresh one per call.
+//
+// Contract: t.Rebuild(args) may be called only on a transaction that the
+// same procedure's factory built (or an earlier Rebuild produced) and
+// that nothing references any more — every engine call that ran it has
+// returned and its Result, if any, has been consumed. On success t must
+// then have exactly the access sets and logic the factory would give a
+// fresh transaction for args; Rebuild may retain args and reuse t's own
+// buffers. On error t is unusable and the caller falls back to the
+// factory, which reports the error for bad arguments.
+type Rebuilder interface {
+	Rebuild(args []byte) error
+}
+
 // Registry is a named collection of transaction factories. It is safe for
 // concurrent use after registration; registrations typically happen once
 // at startup, before the engine processes transactions.
@@ -60,22 +77,22 @@ func (r *Registry) Register(id string, f Factory) {
 	r.procs[id] = f
 }
 
-// Registered reports whether id has a factory. The network server uses
-// it to distinguish "unknown procedure" from "bad arguments" when a
-// remote submit fails to build.
-func (r *Registry) Registered(id string) bool {
+// Lookup returns the factory registered under id, taking the registry
+// lock once. The network server resolves each request with it, so it
+// can tell "unknown procedure" from "bad arguments" and build the
+// transaction itself — rebuilding a previous one in place when it can
+// (see Rebuilder).
+func (r *Registry) Lookup(id string) (Factory, bool) {
 	r.mu.RLock()
-	_, ok := r.procs[id]
+	f, ok := r.procs[id]
 	r.mu.RUnlock()
-	return ok
+	return f, ok
 }
 
 // Build rebuilds the transaction registered under id from args. Recovery
 // uses it to turn logged commands back into runnable transactions.
 func (r *Registry) Build(id string, args []byte) (Txn, error) {
-	r.mu.RLock()
-	f, ok := r.procs[id]
-	r.mu.RUnlock()
+	f, ok := r.Lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("txn: unknown procedure %q", id)
 	}

@@ -132,50 +132,59 @@ func (d *Decoder) Bytes(n int) []byte {
 	return b
 }
 
-// Keys decodes a counted key list.
-func (d *Decoder) Keys() []Key {
+// Keys decodes a counted key list into dst's backing array (grown
+// only when too small) and returns it; an empty list comes back with
+// length zero.
+func (d *Decoder) Keys(dst []Key) []Key {
 	n := int(d.U32())
 	if d.err != nil || n < 0 || d.off+12*n > len(d.b) {
 		d.fail()
-		return nil
+		return dst[:0]
 	}
-	if n == 0 {
-		return nil
+	dst = grow(dst, n)
+	for i := range dst {
+		dst[i] = Key{Table: d.U32(), ID: d.U64()}
 	}
-	ks := make([]Key, n)
-	for i := range ks {
-		ks[i] = Key{Table: d.U32(), ID: d.U64()}
-	}
-	return ks
+	return dst
 }
 
-// Ranges decodes a counted range list.
-func (d *Decoder) Ranges() []KeyRange {
+// Ranges decodes a counted range list into dst's backing array, like
+// Keys.
+func (d *Decoder) Ranges(dst []KeyRange) []KeyRange {
 	n := int(d.U32())
 	if d.err != nil || n < 0 || d.off+20*n > len(d.b) {
 		d.fail()
-		return nil
+		return dst[:0]
 	}
-	if n == 0 {
-		return nil
+	dst = grow(dst, n)
+	for i := range dst {
+		dst[i] = KeyRange{Table: d.U32(), Lo: d.U64(), Hi: d.U64()}
 	}
-	rs := make([]KeyRange, n)
-	for i := range rs {
-		rs[i] = KeyRange{Table: d.U32(), Lo: d.U64(), Hi: d.U64()}
-	}
-	return rs
+	return dst
 }
 
-// Record decodes one AppendRecord encoding. The Proc string is copied;
-// Args aliases the input buffer.
-func (d *Decoder) Record() Record {
-	var r Record
-	r.Proc = string(d.Bytes(int(d.U32())))
+// grow returns s resized to n, reusing its backing array when it fits.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// Record decodes one AppendRecord encoding into r, overwriting every
+// field. The access sets reuse r's backing arrays, and r.Proc is kept
+// when it already holds the decoded name (the comparison does not
+// allocate), so decoding a stream of requests into one Record allocates
+// only when a set outgrows its array or the procedure changes. Args
+// aliases the input buffer.
+func (d *Decoder) Record(r *Record) {
+	if name := d.Bytes(int(d.U32())); string(name) != r.Proc {
+		r.Proc = string(name)
+	}
 	r.Args = d.Bytes(int(d.U32()))
-	r.Reads = d.Keys()
-	r.Writes = d.Keys()
-	r.Ranges = d.Ranges()
-	return r
+	r.Reads = d.Keys(r.Reads)
+	r.Writes = d.Keys(r.Writes)
+	r.Ranges = d.Ranges(r.Ranges)
 }
 
 func (d *Decoder) fail() {

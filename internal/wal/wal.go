@@ -151,7 +151,8 @@ func decodeBatch(payload []byte) (*Batch, error) {
 	}
 	b.Txns = make([]TxnRecord, 0, n)
 	for i := 0; i < n; i++ {
-		r := d.Record()
+		var r TxnRecord
+		d.Record(&r)
 		if d.Err() != nil {
 			return nil, fmt.Errorf("%w: truncated payload", ErrCorrupt)
 		}

@@ -110,21 +110,27 @@ func AppendResponse(buf []byte, r *Response) []byte {
 }
 
 // DecodeRequest parses a submit payload (after the kind byte has been
-// checked). The record's Args alias payload.
-func DecodeRequest(payload []byte) (Request, error) {
+// checked) into r, overwriting every field and reusing the capacity of
+// r.Rec's access sets (see txn.Decoder.Record). On error r holds no
+// usable request.
+//
+// Ownership: the decoded record's Args alias payload, and the server
+// decodes each connection's requests into per-slot Requests and frame
+// buffers. A request's frame, its decoded record and the transaction
+// built from it belong to its slot, and are reused for a later request
+// once the response has been written.
+func DecodeRequest(payload []byte, r *Request) error {
 	d := txn.NewDecoder(payload)
-	var r Request
 	r.ID = d.U64()
-	f := d.Bytes(1)
-	if d.Err() == nil {
+	if f := d.Bytes(1); d.Err() == nil {
 		r.Flags = f[0]
 	}
 	r.Token = d.U64()
-	r.Rec = d.Record()
+	d.Record(&r.Rec)
 	if d.Err() != nil || d.Rem() != 0 {
-		return Request{}, fmt.Errorf("%w: bad submit payload", ErrProtocol)
+		return fmt.Errorf("%w: bad submit payload", ErrProtocol)
 	}
-	return r, nil
+	return nil
 }
 
 // DecodeResponse parses a result payload (after the kind byte). Msg and
@@ -148,25 +154,37 @@ func DecodeResponse(payload []byte) (Response, error) {
 	return r, nil
 }
 
-// WriteFrame writes one length-prefixed frame.
-func WriteFrame(w io.Writer, payload []byte) error {
-	var hdr [4]byte
-	binary.LittleEndian.PutUint32(hdr[:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+// headerLen is the size of a frame's length prefix.
+const headerLen = 4
+
+// StartFrame resets buf to an empty frame: a reserved length prefix and
+// no payload. Append the payload to the result, then pass it to
+// WriteFrame.
+func StartFrame(buf []byte) []byte { return append(buf[:0], 0, 0, 0, 0) }
+
+// WriteFrame writes frame — a StartFrame prefix followed by the payload
+// — after filling in the prefix with the payload's length, so the whole
+// frame goes out in one Write.
+func WriteFrame(w io.Writer, frame []byte) error {
+	binary.LittleEndian.PutUint32(frame, uint32(len(frame)-headerLen))
+	_, err := w.Write(frame)
 	return err
 }
 
-// ReadFrame reads one frame into buf (grown as needed) and returns the
-// payload slice, which aliases buf.
+// ReadFrame reads one frame and returns its payload. Both the length
+// prefix and the payload are read into buf, which is replaced by a
+// bigger buffer only when the payload does not fit; the returned slice
+// aliases whichever buffer holds it. A length above MaxFrame is an
+// ErrProtocol, reported before anything is allocated for it.
 func ReadFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < headerLen {
+		buf = make([]byte, headerLen)
+	}
+	hdr := buf[:headerLen]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:])
+	n := binary.LittleEndian.Uint32(hdr)
 	if n > MaxFrame {
 		return nil, fmt.Errorf("%w: frame length %d exceeds %d", ErrProtocol, n, MaxFrame)
 	}

@@ -3,6 +3,7 @@ package workload
 import (
 	"encoding/binary"
 	"fmt"
+	"unsafe"
 
 	"bohm/internal/txn"
 )
@@ -30,35 +31,13 @@ const ProcKVTransfer = "kv.transfer"
 // RegisterKV registers the key/value procedures with reg.
 func RegisterKV(reg *txn.Registry) {
 	reg.Register(ProcKVPut, func(args []byte) (txn.Txn, error) {
-		if len(args) < 12 {
-			return nil, fmt.Errorf("workload: kv.put args too short (%d bytes)", len(args))
-		}
-		ks, err := DecodeKeys(args[:12])
-		if err != nil {
-			return nil, err
-		}
-		return &KVPutTxn{K: ks[0], V: args[12:]}, nil
+		return build(&KVPutTxn{}, args)
 	})
 	reg.Register(ProcKVGet, func(args []byte) (txn.Txn, error) {
-		ks, err := DecodeKeys(args)
-		if err != nil {
-			return nil, err
-		}
-		if len(ks) != 1 {
-			return nil, fmt.Errorf("workload: kv.get wants 1 key, got %d", len(ks))
-		}
-		return &KVGetTxn{K: ks[0]}, nil
+		return build(&KVGetTxn{}, args)
 	})
 	reg.Register(ProcKVTransfer, func(args []byte) (txn.Txn, error) {
-		if len(args) != 32 {
-			return nil, fmt.Errorf("workload: kv.transfer args must be 32 bytes, got %d", len(args))
-		}
-		ks, err := DecodeKeys(args[:24])
-		if err != nil {
-			return nil, err
-		}
-		amt := binary.LittleEndian.Uint64(args[24:])
-		return &KVTransferTxn{From: ks[0], To: ks[1], Amount: amt}, nil
+		return build(&KVTransferTxn{}, args)
 	})
 }
 
@@ -76,17 +55,37 @@ func KVTransferArgs(from, to txn.Key, amount uint64) []byte {
 	return binary.LittleEndian.AppendUint64(b, amount)
 }
 
+// decodeKey reads one EncodeKeys entry from the front of b, which must
+// hold at least 12 bytes.
+func decodeKey(b []byte) txn.Key {
+	return txn.Key{Table: binary.LittleEndian.Uint32(b), ID: binary.LittleEndian.Uint64(b[4:])}
+}
+
+// one returns the one-element slice backed by *k, so single-key access
+// sets are returned without allocating.
+func one(k *txn.Key) []txn.Key { return unsafe.Slice(k, 1) }
+
 // KVPutTxn blindly writes V at K.
 type KVPutTxn struct {
 	K txn.Key
 	V []byte
 }
 
+// Rebuild implements txn.Rebuilder: args are one encoded key followed by
+// the value, which V aliases.
+func (t *KVPutTxn) Rebuild(args []byte) error {
+	if len(args) < 12 {
+		return fmt.Errorf("workload: kv.put args too short (%d bytes)", len(args))
+	}
+	t.K, t.V = decodeKey(args), args[12:]
+	return nil
+}
+
 // ReadSet implements txn.Txn.
 func (t *KVPutTxn) ReadSet() []txn.Key { return nil }
 
 // WriteSet implements txn.Txn.
-func (t *KVPutTxn) WriteSet() []txn.Key { return []txn.Key{t.K} }
+func (t *KVPutTxn) WriteSet() []txn.Key { return one(&t.K) }
 
 // RangeSet implements txn.Txn.
 func (t *KVPutTxn) RangeSet() []txn.KeyRange { return nil }
@@ -102,8 +101,18 @@ type KVGetTxn struct {
 	val []byte
 }
 
+// Rebuild implements txn.Rebuilder: args are exactly one encoded key.
+// The result buffer is kept for the next Run to reuse.
+func (t *KVGetTxn) Rebuild(args []byte) error {
+	if len(args) != 12 {
+		return fmt.Errorf("workload: kv.get args must be one 12-byte key, got %d bytes", len(args))
+	}
+	t.K = decodeKey(args)
+	return nil
+}
+
 // ReadSet implements txn.Txn.
-func (t *KVGetTxn) ReadSet() []txn.Key { return []txn.Key{t.K} }
+func (t *KVGetTxn) ReadSet() []txn.Key { return one(&t.K) }
 
 // WriteSet implements txn.Txn.
 func (t *KVGetTxn) WriteSet() []txn.Key { return nil }
@@ -124,29 +133,41 @@ func (t *KVGetTxn) Run(ctx txn.Ctx) error {
 // Result implements txn.Resulter.
 func (t *KVGetTxn) Result() []byte { return t.val }
 
-// KVTransferTxn moves Amount from From to To, aborting when the source
-// balance (a little-endian u64) is insufficient.
+// KVTransferTxn moves Amount from Keys[0] to Keys[1], aborting when the
+// source balance (a little-endian u64) is insufficient. Both access sets
+// are Keys itself.
 type KVTransferTxn struct {
-	From, To txn.Key
-	Amount   uint64
+	Keys   [2]txn.Key // from, to
+	Amount uint64
+}
+
+// Rebuild implements txn.Rebuilder: args are the two encoded keys and a
+// u64 amount.
+func (t *KVTransferTxn) Rebuild(args []byte) error {
+	if len(args) != 32 {
+		return fmt.Errorf("workload: kv.transfer args must be 32 bytes, got %d", len(args))
+	}
+	t.Keys = [2]txn.Key{decodeKey(args), decodeKey(args[12:])}
+	t.Amount = binary.LittleEndian.Uint64(args[24:])
+	return nil
 }
 
 // ReadSet implements txn.Txn.
-func (t *KVTransferTxn) ReadSet() []txn.Key { return []txn.Key{t.From, t.To} }
+func (t *KVTransferTxn) ReadSet() []txn.Key { return t.Keys[:] }
 
 // WriteSet implements txn.Txn.
-func (t *KVTransferTxn) WriteSet() []txn.Key { return []txn.Key{t.From, t.To} }
+func (t *KVTransferTxn) WriteSet() []txn.Key { return t.Keys[:] }
 
 // RangeSet implements txn.Txn.
 func (t *KVTransferTxn) RangeSet() []txn.KeyRange { return nil }
 
 // Run implements txn.Txn.
 func (t *KVTransferTxn) Run(ctx txn.Ctx) error {
-	fv, err := ctx.Read(t.From)
+	fv, err := ctx.Read(t.Keys[0])
 	if err != nil {
 		return err
 	}
-	tv, err := ctx.Read(t.To)
+	tv, err := ctx.Read(t.Keys[1])
 	if err != nil {
 		return err
 	}
@@ -157,8 +178,8 @@ func (t *KVTransferTxn) Run(ctx txn.Ctx) error {
 	var fb, tb [8]byte
 	binary.LittleEndian.PutUint64(fb[:], from-t.Amount)
 	binary.LittleEndian.PutUint64(tb[:], to+t.Amount)
-	if err := ctx.Write(t.From, fb[:]); err != nil {
+	if err := ctx.Write(t.Keys[0], fb[:]); err != nil {
 		return err
 	}
-	return ctx.Write(t.To, tb[:])
+	return ctx.Write(t.Keys[1], tb[:])
 }

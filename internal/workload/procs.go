@@ -26,20 +26,43 @@ const ProcPut = "ycsb.put"
 // record size rebuilt transactions write, and must match the loaded table.
 func RegisterYCSB(reg *txn.Registry, recordSize int) {
 	reg.Register(ProcRMW, func(args []byte) (txn.Txn, error) {
-		ks, err := DecodeKeys(args)
-		if err != nil {
-			return nil, err
-		}
-		return &RMWTxn{Keys: ks, Size: recordSize}, nil
+		return build(&RMWTxn{Size: recordSize}, args)
 	})
 	putVal := txn.NewValue(recordSize, 7)
 	reg.Register(ProcPut, func(args []byte) (txn.Txn, error) {
-		ks, err := DecodeKeys(args)
-		if err != nil {
-			return nil, err
-		}
-		return &PutTxn{Keys: ks, Val: putVal}, nil
+		return build(&PutTxn{Val: putVal}, args)
 	})
+}
+
+// rebuildable is a transaction that implements txn.Rebuilder.
+type rebuildable interface {
+	txn.Txn
+	txn.Rebuilder
+}
+
+// build is the factory body of every procedure here: a transaction with
+// only its fixed fields set, completed by its own Rebuild, so a rebuilt
+// transaction matches a factory-built one by construction.
+func build(t rebuildable, args []byte) (txn.Txn, error) {
+	if err := t.Rebuild(args); err != nil {
+		return nil, err
+	}
+	return t, nil
+}
+
+// Rebuild implements txn.Rebuilder for the ycsb.rmw procedure: args
+// decode into Keys' own array, and Size and the scratch buffer carry
+// over, so a rebuilt instance runs without allocating.
+func (t *RMWTxn) Rebuild(args []byte) (err error) {
+	t.Keys, err = decodeKeysInto(t.Keys, args)
+	return err
+}
+
+// Rebuild implements txn.Rebuilder for the ycsb.put procedure: args
+// decode into Keys' own array; Val carries over.
+func (t *PutTxn) Rebuild(args []byte) (err error) {
+	t.Keys, err = decodeKeysInto(t.Keys, args)
+	return err
 }
 
 // EncodeKeys serializes keys for use as procedure arguments.
@@ -80,18 +103,23 @@ func DecodeRanges(b []byte) ([]txn.KeyRange, error) {
 }
 
 // DecodeKeys reverses EncodeKeys.
-func DecodeKeys(b []byte) ([]txn.Key, error) {
+func DecodeKeys(b []byte) ([]txn.Key, error) { return decodeKeysInto(nil, b) }
+
+// decodeKeysInto is DecodeKeys into dst's backing array, grown only when
+// too small.
+func decodeKeysInto(dst []txn.Key, b []byte) ([]txn.Key, error) {
 	if len(b)%12 != 0 {
-		return nil, fmt.Errorf("workload: key blob of %d bytes is not a multiple of 12", len(b))
+		return dst[:0], fmt.Errorf("workload: key blob of %d bytes is not a multiple of 12", len(b))
 	}
-	ks := make([]txn.Key, len(b)/12)
-	for i := range ks {
-		ks[i] = txn.Key{
-			Table: binary.LittleEndian.Uint32(b[12*i:]),
-			ID:    binary.LittleEndian.Uint64(b[12*i+4:]),
-		}
+	n := len(b) / 12
+	if cap(dst) < n {
+		dst = make([]txn.Key, n)
 	}
-	return ks, nil
+	dst = dst[:n]
+	for i := range dst {
+		dst[i] = decodeKey(b[12*i:])
+	}
+	return dst, nil
 }
 
 // RMW10Call returns the source's next 10RMW transaction as a loggable

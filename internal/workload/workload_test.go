@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"testing"
@@ -368,6 +369,102 @@ func TestChurnRotateAvoidsDeadResidues(t *testing.T) {
 					t.Fatalf("stream %d deadPct %d: Rotate touched dead id %d", stream, deadPct, id)
 				}
 			}
+		}
+	}
+}
+
+// TestKVAccessSetsDoNotAllocate pins the key/value procedures' access
+// sets to slices backed by the transaction itself: the client reads them
+// for every submission.
+func TestKVAccessSetsDoNotAllocate(t *testing.T) {
+	a, b := txn.Key{Table: 1, ID: 1}, txn.Key{Table: 1, ID: 2}
+	get := &KVGetTxn{K: a}
+	put := &KVPutTxn{K: b, V: []byte{1}}
+	xfer := &KVTransferTxn{Keys: [2]txn.Key{a, b}, Amount: 1}
+	ts := []txn.Txn{get, put, xfer}
+	allocs := testing.AllocsPerRun(100, func() {
+		for _, tx := range ts {
+			_, _ = tx.ReadSet(), tx.WriteSet()
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("access sets allocated %.1f times per round", allocs)
+	}
+	if rs := get.ReadSet(); len(rs) != 1 || rs[0] != a {
+		t.Errorf("kv.get read set = %v", rs)
+	}
+	if ws := put.WriteSet(); len(ws) != 1 || ws[0] != b {
+		t.Errorf("kv.put write set = %v", ws)
+	}
+	if rs, ws := xfer.ReadSet(), xfer.WriteSet(); len(rs) != 2 || rs[0] != a || rs[1] != b || len(ws) != 2 || ws[0] != a || ws[1] != b {
+		t.Errorf("kv.transfer sets = %v, %v", rs, ws)
+	}
+}
+
+// TestRebuildMatchesFactory holds every txn.Rebuilder procedure to the
+// interface's contract: a transaction built (and run) for one set of
+// args, then rebuilt for another, has the access sets, effects and
+// result of a fresh factory build for the second; bad args fail both.
+func TestRebuildMatchesFactory(t *testing.T) {
+	reg := txn.NewRegistry()
+	RegisterYCSB(reg, 16)
+	RegisterKV(reg)
+	k := func(id uint64) txn.Key { return txn.Key{Table: 1, ID: id} }
+	cases := []struct {
+		proc        string
+		first, next []byte
+	}{
+		{ProcRMW, EncodeKeys([]txn.Key{k(1), k(2), k(3)}), EncodeKeys([]txn.Key{k(4), k(5)})},
+		{ProcRMW, EncodeKeys([]txn.Key{k(4)}), EncodeKeys([]txn.Key{k(1), k(2), k(3)})},
+		{ProcPut, EncodeKeys([]txn.Key{k(1), k(2)}), EncodeKeys([]txn.Key{k(3)})},
+		{ProcKVPut, KVPutArgs(k(1), []byte("first")), KVPutArgs(k(2), []byte("second value"))},
+		{ProcKVGet, KVGetArgs(k(1)), KVGetArgs(k(2))},
+		{ProcKVTransfer, KVTransferArgs(k(1), k(2), 5), KVTransferArgs(k(3), k(1), 7)},
+	}
+	run := func(tx txn.Txn) *recordingCtx {
+		c := newRecordingCtx()
+		for id := uint64(1); id <= 5; id++ {
+			c.data[k(id)] = txn.NewValue(16, 100+id)
+		}
+		if err := tx.Run(c); err != nil {
+			t.Fatalf("%T run: %v", tx, err)
+		}
+		return c
+	}
+	for _, tc := range cases {
+		f, ok := reg.Lookup(tc.proc)
+		if !ok {
+			t.Fatalf("%s not registered", tc.proc)
+		}
+		old, err := f(tc.first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		run(old)
+		rb, ok := old.(txn.Rebuilder)
+		if !ok {
+			t.Fatalf("%s: %T is not a txn.Rebuilder", tc.proc, old)
+		}
+		if err := rb.Rebuild(tc.next); err != nil {
+			t.Fatalf("%s rebuild: %v", tc.proc, err)
+		}
+		fresh, err := f(tc.next)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(old.ReadSet(), old.WriteSet(), old.RangeSet()) != fmt.Sprint(fresh.ReadSet(), fresh.WriteSet(), fresh.RangeSet()) {
+			t.Errorf("%s: rebuilt sets %v %v, factory %v %v", tc.proc, old.ReadSet(), old.WriteSet(), fresh.ReadSet(), fresh.WriteSet())
+		}
+		got, want := run(old), run(fresh)
+		if fmt.Sprint(got.data) != fmt.Sprint(want.data) {
+			t.Errorf("%s: rebuilt run left %v, factory run %v", tc.proc, got.data, want.data)
+		}
+		if r, ok := old.(txn.Resulter); ok && !bytes.Equal(r.Result(), fresh.(txn.Resulter).Result()) {
+			t.Errorf("%s: rebuilt result %x, factory %x", tc.proc, r.Result(), fresh.(txn.Resulter).Result())
+		}
+		bad := tc.next[:5]
+		if _, err := f(bad); err == nil || rb.Rebuild(bad) == nil {
+			t.Errorf("%s: %d-byte args accepted", tc.proc, len(bad))
 		}
 	}
 }
