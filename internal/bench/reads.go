@@ -114,7 +114,7 @@ func Reads(s Scale) []*Table {
 			"every submission mixes single-key reads and RMWs in one ExecuteBatch call; the heuristic diverts the reads to the snapshot fast path only when they are the strict majority of the call",
 			"\"always split\" sets Config.DisableMixedPipelining — the unconditional diversion, which at read-minority mixes pays the two-path coordination cost for little fast-path work",
 			"heuristic % is heuristic throughput over always-split throughput at the same mix, in percent; at and below 50% reads the heuristic keeps the reads pipelined and must not regress",
-			"median of interleaved paired reps (scale-cc methodology): the two arms alternate within each rep so scheduler drift hits both equally, and the median ratio discards the outlier runs a 1-core host produces",
+			"median of interleaved paired reps: the two arms alternate within each rep so scheduler drift hits both equally, and the median ratio discards the outlier runs a 1-core host produces",
 		},
 	}
 	for _, pct := range []int{25, 50, 75} {

@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"bohm/internal/core"
@@ -91,7 +90,6 @@ func Scalability(s Scale) []*Table {
 	tables = append(tables, latency)
 	tables = append(tables, scaleSplit(s, maxProcs))
 	tables = append(tables, scaleStages(s, maxProcs))
-	tables = append(tables, scaleCC(s, maxProcs))
 	tables = append(tables, scaleObsOverhead(s, maxProcs))
 	return tables
 }
@@ -186,115 +184,6 @@ func scaleStages(s Scale, procs int) *Table {
 			float64(snap.Quantile(0.99))/1e3,
 			float64(snap.Quantile(0.999))/1e3,
 			float64(snap.Max)/1e3)
-	}
-	return t
-}
-
-// scaleCC is the CC-kernel ablation: a preprocessed BOHM engine with the
-// amortized kernels on vs the DisableCCKernels baseline, swept over the
-// zipfian thetas, reporting throughput and the CC stage's p50 batch
-// latency from the obs histograms. The last column is the machine-
-// readable p50 delta (positive = kernels faster), the number the
-// kernels' acceptance bar reads.
-//
-// Methodology: throughput comes from a flooded run (the harness's default
-// multi-stream feed), but the CC p50 comes from a separate closed-loop
-// pass — one batch in flight (Streams: 1, Chunk: BatchSize) — because a
-// flooded pipeline's CC histogram measures queue depth, not the stage's
-// service time: batches spend most of the sequenced→cc window waiting
-// behind each other, and that wait dilates with whatever stage is
-// slowest. As with scale-obs, a single short run on a shared host is
-// dominated by scheduler noise, so each theta row is three interleaved
-// on/off reps: throughput keeps each side's best, the p50 columns keep
-// each side's median, and the delta column is the median of the per-rep
-// paired deltas (pairing cancels host-speed drift between reps).
-func scaleCC(s Scale, procs int) *Table {
-	t := &Table{
-		ID:     "scale-cc",
-		Title:  fmt.Sprintf("BOHM CC-kernel ablation at %d workers, 10RMW, preprocessed", procs),
-		Param:  "theta",
-		Series: []string{"kernels_tps", "baseline_tps", "cc_p50_on_us", "cc_p50_off_us", "cc_p50_delta_pct"},
-		Notes: []string{
-			"baseline = DisableCCKernels; cc_p50 from the CC stage histogram over a closed-loop pass (one batch in flight), median of 3 interleaved reps",
-			"tps best of 3 flooded runs per side; delta = median per-rep paired delta",
-			hostNote(),
-		},
-	}
-	y := workload.YCSB{Records: s.Records, RecordSize: s.RecordSize}
-	cc := procs / 2
-	if cc < 1 {
-		cc = 1
-	}
-	exec := procs - cc
-	if exec < 1 {
-		exec = 1
-	}
-	// Floors keep this table meaningful even in quick mode: the ablation
-	// resolves a ~10-20% effect, which a 4k-txn flooded run (tens of
-	// milliseconds) or a 30-batch closed-loop p50 cannot.
-	floodTxns := s.Txns
-	if floodTxns < 32*1024 {
-		floodTxns = 32 * 1024
-	}
-	closedTxns := 3 * s.Txns
-	if closedTxns < 96*1024 {
-		closedTxns = 96 * 1024
-	}
-	run := func(disable bool, theta float64, label string) (Result, float64) {
-		cfg := core.DefaultConfig()
-		cfg.CCWorkers = cc
-		cfg.ExecWorkers = exec
-		cfg.Capacity = s.Records
-		cfg.BatchSize = 1024
-		cfg.GC = true
-		cfg.Metrics = true
-		cfg.Preprocess = true
-		cfg.PreprocessWorkers = 2
-		cfg.DisableCCKernels = disable
-		e, err := core.New(cfg)
-		if err != nil {
-			panic(err)
-		}
-		defer e.Close()
-		if err := y.LoadInto(e); err != nil {
-			panic(err)
-		}
-		gen := ycsbGen(y, theta, func(src *workload.YCSBSource) txn.Txn { return src.RMW10() })
-		Run(Bohm, e, Options{Txns: closedTxns / 4, WarmupTxns: -1, Procs: procs, Label: label + ",warmup"}, gen)
-		r := Run(Bohm, e, Options{Txns: floodTxns, WarmupTxns: -1, Procs: procs, Label: label}, gen)
-		m := e.Metrics()
-		m.Reset()
-		Run(Bohm, e, Options{Txns: closedTxns, WarmupTxns: -1, Procs: procs,
-			Streams: 1, Chunk: cfg.BatchSize, Label: label + ",closed"}, gen)
-		return r, float64(m.Stages[obs.StageCC].Snapshot().Quantile(0.50)) / 1e3
-	}
-	median := func(xs []float64) float64 {
-		s := append([]float64(nil), xs...)
-		sort.Float64s(s)
-		return s[len(s)/2]
-	}
-	for _, theta := range s.ScaleThetas {
-		var on, off Result
-		var onP, offP, deltas []float64
-		for rep := 0; rep < 3; rep++ {
-			rOn, pOn := run(false, theta, fmt.Sprintf("kernels,theta=%.2f,rep=%d", theta, rep))
-			rOff, pOff := run(true, theta, fmt.Sprintf("baseline,theta=%.2f,rep=%d", theta, rep))
-			if rOn.Throughput > on.Throughput {
-				on = rOn
-			}
-			if rOff.Throughput > off.Throughput {
-				off = rOff
-			}
-			onP, offP = append(onP, pOn), append(offP, pOff)
-			if pOff > 0 {
-				deltas = append(deltas, (pOff-pOn)/pOff*100)
-			}
-		}
-		delta := 0.0
-		if len(deltas) > 0 {
-			delta = median(deltas)
-		}
-		t.AddRow(fmt.Sprintf("%.2f", theta), on.Throughput, off.Throughput, median(onP), median(offP), delta)
 	}
 	return t
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"runtime"
 	"sync/atomic"
 
 	"bohm/internal/storage"
@@ -9,119 +8,70 @@ import (
 )
 
 // ccWorker is one concurrency control thread (§3.2.2–§3.2.4). Worker w
-// owns the hash partitions {p : p ≡ w (mod split.cc)} — one partition per
-// worker in the fixed-split default, a strided set when the adaptive
-// governor has shifted the split: for every transaction in every batch it
-// inserts placeholder versions for the write-set keys its partitions own,
-// annotates read-set keys with direct version references, and — with GC
-// enabled — collects superseded versions below the execution watermark.
+// is the single writer of hash partition w for the engine's lifetime: for
+// every transaction in every batch it inserts placeholder versions for the
+// write-set keys the partition owns, annotates read-set keys with direct
+// version references, and — with GC enabled — collects superseded versions
+// below the execution watermark. Every key is hashed once; the same hash
+// selects the partition, probes the per-batch hot-key memo and probes the
+// hash table.
 //
 // CC workers process batches fully independently; the only coordination is
 // the per-batch report to the forwarder, which hands a batch to the
-// execution phase once every CC worker is done with it. When a batch
-// carries a new worker split, a worker quiesces on every worker's
-// lifecycle frontier before adopting it — see the adoption comment below.
+// execution phase once every CC worker is done with it.
 //
 // Without pre-processing, every CC worker examines every transaction and
 // filters by partition (the paper's base design); with pre-processing the
-// worker walks a pre-computed per-partition work list instead — a dense
-// hash-carrying slab on the kernel path, ragged per-preproc-worker
-// sub-slices on the legacy (DisableCCKernels) path.
+// worker walks a pre-computed, hash-carrying per-partition work list
+// instead.
 //
-// The worker is also its partitions' index-lifecycle owner: once per batch
-// it sweeps a bounded slice of each owned ordered directory and reaps keys
-// whose newest surviving version is a tombstone below the watermark — the
-// single writer of a partition is the only goroutine that ever unlinks
-// directory entries, deletes hash slots or detaches chains, so reaping
-// adds no atomics to the write path and inherits the same epoch argument
-// that protects chain GC.
+// The worker is also its partition's index-lifecycle owner: once per batch
+// it sweeps a bounded slice of the ordered directory and reaps keys whose
+// newest surviving version is a tombstone below the watermark — the single
+// writer of a partition is the only goroutine that ever unlinks directory
+// entries, deletes hash slots or detaches chains, so reaping adds no
+// atomics to the write path and inherits the same epoch argument that
+// protects chain GC.
 func (e *Engine) ccWorker(w int) {
 	defer e.ccWG.Done()
 	reapOn := e.cfg.GC && !e.cfg.DisableReaping
-	var memo *ccMemo
-	if !e.cfg.DisableCCKernels {
-		memo = newCCMemo()
-	}
-	// grab is the worker's batched-placeholder scratch (kernel path); it
+	memo := newCCMemo()
+	// grab is the worker's batched-placeholder scratch (planned path); it
 	// grows to the largest per-partition write run and is reused forever.
 	var grab []*storage.Version
-	split := e.split.Load()
 
 	for b := range e.ccIn[w] {
-		if b.split != split {
-			// Adoption quiesce: the batch was stamped under a different
-			// worker split, so partition ownership may be moving between
-			// workers. Spin until every CC worker's lifecycle frontier
-			// shows it fully finished the previous batch — including the
-			// lifecycle work the kernel path defers past the barrier
-			// report — only then can this worker touch partitions the old
-			// assignment gave to someone else. Deadlock-free: a worker
-			// only waits at the entry of batch b after publishing its own
-			// frontier for b-1, and every worker's processing of b-1 is
-			// independent, so all frontiers reach b-1. The frontier's
-			// atomic store/load pair also carries the happens-before edge
-			// that hands the partitions' iterators and cursors (partCC)
-			// to their new owner.
-			for !e.ccQuiesced(b.seq) {
-				runtime.Gosched()
-			}
-			split = b.split
-		}
-		active := w < split.cc
-		if active {
-			e.ccBatch(w, split.cc, b, memo, reapOn, &grab)
-			// Stage stamps: the first active worker to finish CASes the
-			// barrier-start stamp, every active worker maxes the barrier-end
-			// stamp. Metrics-off engines skip both; workers the split left
-			// without partitions skip them too, so an idle worker's instant
-			// pass never distorts the barrier-spread histogram.
-			if o := e.obs; o != nil {
-				now := o.now()
-				b.obs.ccFirst.CompareAndSwap(0, now)
-				for {
-					cur := b.obs.ccLast.Load()
-					if now <= cur || b.obs.ccLast.CompareAndSwap(cur, now) {
-						break
-					}
+		e.ccBatch(w, b, memo, &grab)
+		// Stage stamps: the first worker to finish CASes the barrier-start
+		// stamp, every worker maxes the barrier-end stamp. Metrics-off
+		// engines skip both.
+		if o := e.obs; o != nil {
+			now := o.now()
+			b.obs.ccFirst.CompareAndSwap(0, now)
+			for {
+				cur := b.obs.ccLast.Load()
+				if now <= cur || b.obs.ccLast.CompareAndSwap(cur, now) {
+					break
 				}
 			}
 		}
 		// Batch barrier (§3.2.4): report completion to the forwarder,
 		// which releases the batch to the execution phase once every CC
-		// worker has finished it. Workers without partitions under the
-		// current split still report — the barrier's shape never changes.
+		// worker has finished it.
 		e.ccDone[w] <- b
-		if active && memo != nil {
-			// Deferred lifecycle (kernel path): pool release and the reap
-			// sweep run after the barrier report, overlapping the batch's
-			// execution phase instead of gating it. The work is per-batch
-			// bookkeeping — nothing in this batch's plans depends on it —
-			// and running it here takes it off the CC stage's critical
-			// path (see ccLifecycle for why it stays correct).
-			e.ccLifecycle(w, split.cc, b.seq, reapOn)
-		}
-		e.ccLife[w].Store(b.seq)
+		// Pool release and the reap sweep run after the barrier report,
+		// overlapping the batch's execution phase instead of gating it.
+		// The work is per-batch bookkeeping — nothing in this batch's CC
+		// step depends on it (see partitionLifecycle for why it stays
+		// correct).
+		e.partitionLifecycle(w, b.seq, reapOn)
 	}
 	close(e.ccDone[w])
 }
 
-// ccQuiesced reports whether every CC worker's lifecycle frontier has
-// reached seq-1 — the split-adoption gate.
-func (e *Engine) ccQuiesced(seq uint64) bool {
-	for i := range e.ccLife {
-		if e.ccLife[i].Load()+1 < seq {
-			return false
-		}
-	}
-	return true
-}
-
-// ccBatch runs worker w's CC work for one batch under an active split of
-// ccN workers: the plan (or the full node scan) partition by partition.
-// On the legacy (kernels-off) path the per-partition lifecycle runs here,
-// before the plans — the pre-kernel baseline order; the kernel path defers
-// it until after the barrier report (see ccWorker).
-func (e *Engine) ccBatch(w, ccN int, b *batch, memo *ccMemo, reapOn bool, grab *[]*storage.Version) {
+// ccBatch runs worker w's CC work for one batch: the preprocessed plan for
+// partition w, or the full node scan filtered to it.
+func (e *Engine) ccBatch(w int, b *batch, memo *ccMemo, grab *[]*storage.Version) {
 	var wm uint64
 	wmValid := false
 	wmLookup := func() uint64 {
@@ -131,79 +81,59 @@ func (e *Engine) ccBatch(w, ccN int, b *batch, memo *ccMemo, reapOn bool, grab *
 		}
 		return wm
 	}
-	if memo == nil {
-		e.ccLifecycle(w, ccN, b.seq, reapOn)
-	}
-	switch {
-	case b.ppOff != nil:
-		for p := w; p < e.nparts; p += ccN {
-			e.runPlannedKernel(p, b, e.poolOf(p), memo, &e.partCC[p].annoIter, wmLookup, grab)
-		}
-	case b.plans != nil:
-		for p := w; p < e.nparts; p += ccN {
-			e.runPlanned(p, b, e.poolOf(p), &e.partCC[p].annoIter, wmLookup)
-		}
-	default:
-		e.runUnplanned(w, ccN, b, memo, wmLookup)
+	if b.ppOff != nil {
+		e.runPlannedKernel(w, b, memo, wmLookup, grab)
+	} else {
+		e.runUnplanned(w, b, memo, wmLookup)
 	}
 }
 
-// ccLifecycle is worker w's per-batch partition lifecycle: version-pool
-// release and the bounded reap sweep for every owned partition. The legacy
-// path runs it before the batch's plans (the pre-kernel baseline); the
-// kernel path runs it after the barrier report, where it overlaps the
-// execution phase instead of sitting on the CC stage's critical path.
-// Deferring it is safe on all three axes:
+// partitionLifecycle is partition p's per-batch lifecycle, run by its
+// owning CC worker: version-pool release and the bounded reap sweep. It
+// runs after the barrier report, where it overlaps the execution phase
+// instead of sitting on the CC stage's critical path. Running it after
+// the batch's CC step is safe on all three axes:
 //
-//   - Reaping after the plans instead of before: a reapable key's newest
-//     version is a ready tombstone at or below the watermark, which every
-//     transaction in this batch reads as not-found either way — annotated
-//     references resolve the still-intact tombstone (versions survive
-//     until the retire epoch drains). A key this batch also wrote is
-//     simply not reaped (its head is no longer a ready tombstone), which
-//     converges to the same observable state.
-//   - Pool release after the plans: releases run between batch b's plans
-//     and batch b+1's — the same inter-batch point the release-first
-//     order used, with an equal-or-fresher watermark (safe: monotone).
-//   - The memo: epoch-tagged by batch, so a chain detached here is never
-//     consulted again — the next batch's probes carry a new epoch.
+//   - Reaping after the CC step: a reapable key's newest version is a
+//     ready tombstone at or below the watermark, which every transaction
+//     in this batch reads as not-found either way — annotated references
+//     resolve the still-intact tombstone (versions survive until the
+//     retire epoch drains). A key this batch also wrote is simply not
+//     reaped (its head is no longer a ready tombstone).
+//   - Pool release: releases run between batch b's CC step and batch
+//     b+1's, with a watermark at least as fresh as any earlier release
+//     saw (safe: monotone).
+//   - The memo: epoch-tagged by batch and private to the partition's
+//     single owner, so a chain detached here is never consulted again —
+//     the next batch's probes carry a new epoch.
 //
-// Retiring under the just-reported batch's sequence is also unchanged:
-// the deferred sweep is an extended CC step of batch b, and its retires
-// drain only once the watermark passes b by retireLag.
-func (e *Engine) ccLifecycle(w, ccN int, batchSeq uint64, reapOn bool) {
-	var wm uint64
-	wmValid := false
-	wmLookup := func() uint64 {
-		if !wmValid {
-			wm = e.watermark()
-			wmValid = true
-		}
-		return wm
+// The sweep retires under the just-reported batch's sequence: it is an
+// extended CC step of batch b, and its retires drain only once the
+// watermark passes b by retireLag.
+func (e *Engine) partitionLifecycle(p int, batchSeq uint64, reapOn bool) {
+	pool := e.poolOf(p)
+	if pool == nil && !reapOn {
+		return
 	}
-	for p := w; p < e.nparts; p += ccN {
-		pool := e.poolOf(p)
-		if pool != nil {
-			// Recycle versions whose retire epoch has drained: collected
-			// during the CC step of a batch the watermark has passed by
-			// retireLag (see the lifetime argument at retireLag).
-			if cwm := wmLookup(); cwm > retireLag {
-				pool.Release(cwm - retireLag)
-			}
-		}
-		if reapOn {
-			e.reapSweep(p, e.parts[p], pool, &e.ccStats[p], &e.partCC[p], batchSeq, wmLookup())
-		}
+	wm := e.watermark()
+	if pool != nil && wm > retireLag {
+		// Recycle versions whose retire epoch has drained: collected during
+		// the CC step of a batch the watermark has passed by retireLag (see
+		// the lifetime argument at retireLag).
+		pool.Release(wm - retireLag)
+	}
+	if reapOn {
+		e.reapSweep(p, e.parts[p], pool, &e.ccStats[p], &e.partCC[p], batchSeq, wm)
 	}
 }
 
 // runUnplanned is the no-preprocessing CC path: every worker scans every
-// node and filters keys by partition ownership. On the kernel path each
-// key is hashed exactly once — the same hash selects the partition, probes
-// the memo and probes the hash table — where the baseline hashes once for
-// partition selection and again inside every Get/GetOrInsert.
-func (e *Engine) runUnplanned(w, ccN int, b *batch, memo *ccMemo, wmLookup func() uint64) {
+// node and keeps the keys that hash to its partition.
+func (e *Engine) runUnplanned(p int, b *batch, memo *ccMemo, wmLookup func() uint64) {
 	m := e.nparts
+	part := e.parts[p]
+	pool := e.poolOf(p)
+	var ks kernelStats
 	for _, nd := range b.nodes {
 		// Reads and range annotations first: a read-modify-write must
 		// observe the version preceding the transaction's own write, so
@@ -211,47 +141,29 @@ func (e *Engine) runUnplanned(w, ccN int, b *batch, memo *ccMemo, wmLookup func(
 		// land.
 		if nd.readRefs != nil {
 			for i, k := range nd.reads {
-				h, p := keyHashPart(k, m)
-				if p%ccN != w {
+				h, kp := keyHashPart(k, m)
+				if kp != p {
 					continue
 				}
-				if memo != nil {
-					ch, hit := memo.get(h, k, b.seq)
-					if !hit {
-						ch = e.parts[p].GetHashed(k, h)
-						memo.put(h, k, ch, b.seq)
-					}
-					if ch != nil {
-						nd.readRefs[i] = ch.Head()
-					}
-				} else if c := e.parts[p].Get(k); c != nil {
-					// Versions are pushed in timestamp order, so the head is
-					// exactly the newest version with Begin < nd.ts.
-					nd.readRefs[i] = c.Head()
+				// Versions are pushed in timestamp order, so the head is
+				// exactly the newest version with Begin < nd.ts.
+				if ch := memo.lookup(part, h, k, b.seq); ch != nil {
+					nd.readRefs[i] = ch.Head()
 				}
 			}
 		}
 		if nd.rangeRefs != nil {
 			for r := range nd.ranges {
-				for p := w; p < m; p += ccN {
-					e.annotateRange(p, b, nd, r, &e.partCC[p].annoIter)
-				}
+				e.annotateRange(p, b, nd, r)
 			}
 		}
 		for i, k := range nd.writes {
-			h, p := keyHashPart(k, m)
-			if p%ccN != w {
-				continue
-			}
-			if memo != nil {
-				var ks kernelStats
-				e.insertPlaceholderHashed(p, e.parts[p], &ks, e.poolOf(p), memo, nd, i, h, b.seq, wmLookup, nil)
-				ks.flush(&e.ccStats[p])
-			} else {
-				e.insertPlaceholder(e.parts[p], &e.ccStats[p], e.poolOf(p), nd, i, b.seq, wmLookup)
+			if h, kp := keyHashPart(k, m); kp == p {
+				e.insertPlaceholderHashed(p, part, &ks, pool, memo, nd, i, h, b.seq, wmLookup, nil)
 			}
 		}
 	}
+	ks.flush(&e.ccStats[p])
 }
 
 // poolOf returns partition p's version pool, nil under DisablePooling.
@@ -265,17 +177,15 @@ func (e *Engine) poolOf(p int) *storage.VersionPool {
 // ccPartState is one partition's CC-side mutable state: the iterators and
 // cursors that persist across batches. annoIter serves range annotation,
 // reapIter the lifecycle sweep; both keep skiplist fingers so neither pays
-// a full descent per use. Exactly one CC worker — the partition's owner
-// under the current split — touches the struct; an ownership handoff is
-// ordered by the quiesce-on-frontier protocol in ccWorker.
+// a full descent per use. Only the partition's owning CC worker touches
+// the struct.
 type ccPartState struct {
 	annoIter   storage.DirIter
 	reapIter   storage.DirIter
 	reapCursor txn.Key
 	// reapBudget is the adaptive sweep budget, scaled each sweep by the
-	// tombstone hit rate the previous sweep observed (satellite of the
-	// CC-kernel work; fixed at reapSweepPerBatch under
-	// Config.DisableAdaptiveReap).
+	// tombstone hit rate the previous sweep observed (fixed at
+	// reapSweepPerBatch under Config.DisableAdaptiveReap).
 	reapBudget int32
 }
 
@@ -399,71 +309,25 @@ func (e *Engine) maybeReap(p int, part *storage.Map[storage.Chain], pool *storag
 	return true
 }
 
-// insertPlaceholder creates the uninitialized version for write slot i of
-// nd — drawn from the partition's version pool when pooling is on — links
-// it into the record's chain, registers first-ever keys in the partition's
-// ordered directory, and opportunistically garbage collects the chain's
-// tail below the execution watermark, handing collected versions back to
-// the pool. This is the kernels-off baseline: it re-hashes k inside
-// GetOrInsert (and a third time for a first-ever key's partitionOf).
-func (e *Engine) insertPlaceholder(part *storage.Map[storage.Chain], st *workerStats,
-	pool *storage.VersionPool, nd *node, i int, batchSeq uint64, wmLookup func() uint64) {
-	k := nd.writes[i]
-	var v *storage.Version
-	if pool != nil {
-		v = pool.NewPlaceholder(nd.ts, batchSeq, nd)
-	} else {
-		v = storage.NewPlaceholder(nd.ts, batchSeq, nd)
-	}
-	chain, created, err := part.GetOrInsert(k, func() *storage.Chain {
-		return storage.NewChain(nil)
-	})
-	if err != nil {
-		// Index full: fail the placeholder so the execution phase aborts
-		// the transaction instead of hanging.
-		v.Install(nil, true)
-		nd.writeVers[i] = v
-		return
-	}
-	chain.Push(v)
-	if created {
-		// Directory maintenance happens here — at placeholder-insertion
-		// time — which is what makes range scans phantom-free: the key
-		// becomes scannable in the same pipeline step that fixes its
-		// version's place in the serial order. The push above precedes
-		// the directory insert, so a directory key always has a chain
-		// head within this partition.
-		e.dirs[e.partitionOf(k)].Insert(k)
-	}
-	nd.writeVers[i] = v
-	atomic.AddUint64(&st.versionsCreated, 1)
-	if e.cfg.GC {
-		if head, n := chain.CollectReclaim(wmLookup()); n > 0 {
-			atomic.AddUint64(&st.versionsCollected, uint64(n))
-			if pool != nil {
-				// Park the cut sublist until the retire epoch of this
-				// batch drains; without a pool the sublist is simply
-				// abandoned to the runtime's collector, as before.
-				pool.Retire(head, batchSeq)
-			}
-		}
-	}
-}
-
-// insertPlaceholderHashed is insertPlaceholder on the kernel path: the
-// caller supplies the key's hash (computed once, at partition selection)
-// and the per-batch memo. A memo hit on a live chain skips the hash-table
-// probe entirely — the hot-key case under skew; a memoized absence or a
-// miss falls through to one single-hash GetOrInsert and memoizes the
-// result, upgrading a previously memoized absence in place. Stat counts
-// accumulate into the caller's plain locals (st), flushed with one atomic
-// add per partition instead of two per write.
+// insertPlaceholderHashed creates the uninitialized version for write slot
+// i of nd — drawn from the partition's version pool when pooling is on —
+// links it into the record's chain, registers first-ever keys in the
+// partition's ordered directory, and opportunistically garbage collects
+// the chain's tail below the execution watermark, handing collected
+// versions back to the pool. The caller supplies the key's hash (computed
+// once, at partition selection) and the per-batch memo: a memo hit on a
+// live chain skips the hash-table probe entirely — the hot-key case under
+// skew; a memoized absence or a miss falls through to one single-hash
+// GetOrInsert and memoizes the result, upgrading a previously memoized
+// absence in place. Stat counts accumulate into the caller's plain locals
+// (st), flushed with one atomic add per partition instead of two per
+// write.
 func (e *Engine) insertPlaceholderHashed(p int, part *storage.Map[storage.Chain], st *kernelStats,
 	pool *storage.VersionPool, memo *ccMemo, nd *node, i int, h uint64, batchSeq uint64,
 	wmLookup func() uint64, v *storage.Version) {
 	k := nd.writes[i]
 	if v != nil {
-		// Pre-grabbed by the planned kernel's batched acquisition; only
+		// Pre-grabbed by runPlannedKernel's batched acquisition; only
 		// the per-write stamp remains.
 		v.InitPlaceholder(nd.ts, batchSeq, nd)
 	} else if pool != nil {
@@ -479,6 +343,8 @@ func (e *Engine) insertPlaceholderHashed(p int, part *storage.Map[storage.Chain]
 			return storage.NewChain(nil)
 		})
 		if err != nil {
+			// Index full: fail the placeholder so the execution phase
+			// aborts the transaction instead of hanging.
 			v.Install(nil, true)
 			nd.writeVers[i] = v
 			return
@@ -487,8 +353,12 @@ func (e *Engine) insertPlaceholderHashed(p int, part *storage.Map[storage.Chain]
 	}
 	chain.Push(v)
 	if created {
-		// Same phantom-freedom ordering as insertPlaceholder: push, then
-		// directory insert. The partition is already known — no re-hash.
+		// Directory maintenance happens here — at placeholder-insertion
+		// time — which is what makes range scans phantom-free: the key
+		// becomes scannable in the same pipeline step that fixes its
+		// version's place in the serial order. The push above precedes
+		// the directory insert, so a directory key always has a chain head
+		// within this partition.
 		e.dirs[p].Insert(k)
 	}
 	nd.writeVers[i] = v
@@ -497,13 +367,16 @@ func (e *Engine) insertPlaceholderHashed(p int, part *storage.Map[storage.Chain]
 		if head, n := chain.CollectReclaim(wmLookup()); n > 0 {
 			st.collected += uint64(n)
 			if pool != nil {
+				// Park the cut sublist until the retire epoch of this batch
+				// drains; without a pool the sublist is simply abandoned to
+				// the runtime's collector.
 				pool.Retire(head, batchSeq)
 			}
 		}
 	}
 }
 
-// kernelStats is the kernel CC path's per-partition stat accumulator:
+// kernelStats is the CC path's per-partition stat accumulator:
 // plain counters bumped per write, flushed to the shared workerStats with
 // one atomic add per counter per partition.
 type kernelStats struct {
@@ -542,7 +415,7 @@ func (ks *kernelStats) flush(st *workerStats) {
 // point of the CC stream. Otherwise the walk resumes the partition's
 // persistent iterator, whose finger turns the per-range skiplist descent
 // into an O(log distance) relocation.
-func (e *Engine) annotateRange(p int, b *batch, nd *node, r int, it *storage.DirIter) {
+func (e *Engine) annotateRange(p int, b *batch, nd *node, r int) {
 	d := e.dirs[p]
 	if d.ExcludesRange(nd.ranges[r]) {
 		atomic.AddUint64(&e.ccStats[p].rangeFenceSkips, 1)
@@ -550,6 +423,7 @@ func (e *Engine) annotateRange(p int, b *batch, nd *node, r int, it *storage.Dir
 		return
 	}
 	part := e.parts[p]
+	it := &e.partCC[p].annoIter
 	var ents []rangeEntry
 	pooled := b.ents != nil
 	if pooled {

@@ -103,13 +103,6 @@ type Config struct {
 	// analysis is embarrassingly parallel; each worker handles a
 	// contiguous stripe of every batch.
 	PreprocessWorkers int
-	// DisableCCKernels turns off the amortized CC-phase kernels
-	// (ablation): plans revert to ragged per-preproc-worker sub-slices,
-	// every index probe re-hashes its key, and the per-batch hot-key memo
-	// is bypassed — the pre-kernel baseline. Results are bit-identical
-	// either way (pinned by TestDisableCCKernelsIdenticalResults); only
-	// the CC stage's cache behaviour and hashing work differ.
-	DisableCCKernels bool
 	// DisableAdaptiveReap pins the index-lifecycle sweep budget at its
 	// fixed default instead of scaling it by each sweep's observed
 	// tombstone hit rate (ablation). Results are identical; only how fast
@@ -150,17 +143,6 @@ type Config struct {
 	// in submission order, exactly as under DisableReadOnlyFastPath);
 	// only the mixed call's throughput profile differs.
 	DisableMixedPipelining bool
-	// AdaptiveWorkers enables the histogram-driven CC/exec rebalancing
-	// governor: the combined worker budget (CCWorkers + ExecWorkers)
-	// stays fixed, but a background governor samples the per-stage
-	// latency histograms over a sliding window and migrates one worker
-	// across the CC/exec boundary when one phase sustainedly dominates
-	// the other. Migration is batch-atomic — the sequencer stamps the
-	// split into each batch at flush, so no batch is ever processed under
-	// two assignments. Implies Metrics (the governor reads the stage
-	// histograms). Requires CCWorkers+ExecWorkers >= 3 to have room to
-	// rebalance; with a smaller budget the flag is inert.
-	AdaptiveWorkers bool
 
 	// LogDir, when non-empty, enables the durability subsystem: every
 	// batch is appended to a command log in LogDir before execution and
@@ -263,9 +245,6 @@ func (c *Config) normalize() error {
 	if c.DebugAddr != "" {
 		c.Metrics = true
 	}
-	if c.AdaptiveWorkers {
-		c.Metrics = true
-	}
 	if c.Metrics && c.FlightRecorderSize < 1 {
 		c.FlightRecorderSize = 256
 	}
@@ -311,33 +290,14 @@ type workerStats struct {
 type Engine struct {
 	cfg Config
 
-	// Worker-budget geometry. nparts is the number of hash partitions —
-	// fixed for the engine's lifetime, because keys are never
-	// repartitioned. maxCC and maxExec are the goroutine counts actually
-	// spawned for the two phases; every spawned goroutine receives every
-	// batch, and the batch's stamped split decides which of them do work
-	// (the rest report immediately, keeping barriers and the watermark
-	// well-formed under any split). Without AdaptiveWorkers all three
-	// collapse to the configured worker counts and the split never moves.
-	nparts  int
-	maxCC   int
-	maxExec int
-
-	// split is the current CC/exec worker assignment; the sequencer
-	// stamps it into each batch at flush time (batch-atomic migration)
-	// and the governor republishes it. ccLife[w] is CC worker w's
-	// lifecycle frontier — the newest batch for which w has finished
-	// *everything*, including the post-report lifecycle work the kernel
-	// path defers past the barrier — which workers quiesce on before
-	// adopting a new split (the happens-before edge for partition-state
-	// handoff).
-	split            atomic.Pointer[workerSplit]
-	ccLife           []atomic.Uint64
-	workerMigrations atomic.Uint64
+	// nparts is the number of hash partitions, one per CC worker, fixed
+	// for the engine's lifetime: CC worker w is the single writer of
+	// partition w.
+	nparts int
 
 	// parts[p] is the version-chain index of hash partition p. Only the
-	// partition's owning CC worker under the current split inserts;
-	// execution workers read concurrently.
+	// partition's owning CC worker inserts; execution workers read
+	// concurrently.
 	parts []*storage.Map[storage.Chain]
 
 	// dirs[p] is partition p's ordered key directory — the second tier of
@@ -349,8 +309,7 @@ type Engine struct {
 	dirs []*storage.Directory
 
 	// partCC[p] is partition p's cross-batch CC state (iterators, sweep
-	// cursor, adaptive reap budget); owner-only access, handed off under
-	// the ccLife quiesce.
+	// cursor, adaptive reap budget); owner-only access.
 	partCC []ccPartState
 
 	subCh   chan *submission
@@ -461,10 +420,6 @@ type Engine struct {
 	// instrumentation site in the pipeline is gated on that nil check.
 	obs *obsState
 
-	// gov is the AdaptiveWorkers rebalancing governor; nil when the flag
-	// is off or the worker budget leaves no room to rebalance.
-	gov *governor
-
 	ckptStop chan struct{}
 	ckptWG   sync.WaitGroup
 	ckptMu   sync.Mutex    // serializes checkpoint writers
@@ -524,41 +479,24 @@ func New(cfg Config) (*Engine, error) {
 // build allocates an engine's passive state: partitions, channels and
 // counters, but no goroutines and no durability wiring.
 func build(cfg Config) *Engine {
-	// Worker geometry. Keys are hash-partitioned once, at engine build,
-	// and never repartitioned — so the partition count must cover every
-	// CC worker that could ever be active. Without AdaptiveWorkers that
-	// is exactly the configured pools. With it, the governor may hand all
-	// but one of the combined budget to either phase, so both goroutine
-	// pools are sized total-1 and there is one partition per
-	// potentially-active CC worker; a worker the current split leaves
-	// idle still receives every batch and reports through every barrier,
-	// which keeps the forwarder and the execution watermark shape-stable
-	// across migrations.
-	total := cfg.CCWorkers + cfg.ExecWorkers
-	maxCC, maxExec := cfg.CCWorkers, cfg.ExecWorkers
-	adaptive := cfg.AdaptiveWorkers && total >= 3
-	if adaptive {
-		maxCC, maxExec = total-1, total-1
-	}
-	nparts := maxCC
+	// Keys are hash-partitioned once, at engine build, and never
+	// repartitioned: one partition per CC worker.
+	nparts := cfg.CCWorkers
 	e := &Engine{
 		cfg:       cfg,
 		nparts:    nparts,
-		maxCC:     maxCC,
-		maxExec:   maxExec,
 		parts:     make([]*storage.Map[storage.Chain], nparts),
 		dirs:      make([]*storage.Directory, nparts),
 		partCC:    make([]ccPartState, nparts),
 		subCh:     make(chan *submission, 64),
-		ccIn:      make([]chan *batch, maxCC),
-		ccDone:    make([]chan *batch, maxCC),
-		execIn:    make([]chan *batch, maxExec),
-		execBatch: make([]atomic.Uint64, maxExec),
-		execTS:    make([]atomic.Uint64, maxExec),
+		ccIn:      make([]chan *batch, nparts),
+		ccDone:    make([]chan *batch, nparts),
+		execIn:    make([]chan *batch, cfg.ExecWorkers),
+		execBatch: make([]atomic.Uint64, cfg.ExecWorkers),
+		execTS:    make([]atomic.Uint64, cfg.ExecWorkers),
 		ccStats:   make([]workerStats, nparts),
-		execStats: make([]workerStats, maxExec),
+		execStats: make([]workerStats, cfg.ExecWorkers),
 	}
-	e.split.Store(&workerSplit{cc: cfg.CCWorkers, exec: cfg.ExecWorkers})
 	e.degradePin.Store(^uint64(0))
 	for i := range e.partCC {
 		e.partCC[i].reapBudget = reapSweepPerBatch
@@ -602,7 +540,7 @@ func build(cfg Config) *Engine {
 		// runtime GC by the non-blocking send.
 		e.retireCh = make(chan *batch, 2*maxFreeBatches)
 		if !cfg.DisableValueArena {
-			e.varenas = make([]*storage.ValueArena, maxExec)
+			e.varenas = make([]*storage.ValueArena, cfg.ExecWorkers)
 			for w := range e.varenas {
 				e.varenas[w] = storage.NewValueArena()
 			}
@@ -619,10 +557,7 @@ func build(cfg Config) *Engine {
 		e.seqOut = e.ppIn
 	}
 	if cfg.Metrics {
-		e.obs = newObsState(&cfg, maxExec)
-	}
-	if adaptive {
-		e.gov = newGovernor(e, total)
+		e.obs = newObsState(&cfg)
 	}
 	e.ckptPin.Store(^uint64(0))
 	if cfg.LogDir != "" {
@@ -648,23 +583,14 @@ func (e *Engine) start() {
 	}
 	e.seqWG.Add(1)
 	go e.sequencer()
-	// Lifecycle frontiers start at the sequence floor so the first
-	// batch's split-adoption quiesce (if any) is already satisfied.
-	e.ccLife = make([]atomic.Uint64, e.maxCC)
-	for w := range e.ccLife {
-		e.ccLife[w].Store(e.seqBase)
-	}
-	for w := 0; w < e.maxCC; w++ {
+	for w := 0; w < e.nparts; w++ {
 		e.ccWG.Add(1)
 		go e.ccWorker(w)
 	}
 	go e.forwarder()
-	for w := 0; w < e.maxExec; w++ {
+	for w := 0; w < e.cfg.ExecWorkers; w++ {
 		e.execWG.Add(1)
 		go e.execWorker(w)
-	}
-	if e.gov != nil {
-		e.gov.startLoop()
 	}
 	if e.fastCh != nil {
 		for w := 0; w < e.cfg.ReadWorkers; w++ {
@@ -1033,11 +959,6 @@ func (e *Engine) shutdown(kill bool) {
 	if e.closed.Swap(true) {
 		return
 	}
-	if e.gov != nil {
-		// Stop the governor before draining: no split republish can land
-		// once the pipeline starts shutting down.
-		e.gov.stopLoop()
-	}
 	if e.idleStop != nil {
 		// The idle ticker sends on subCh; it must be provably stopped
 		// before the channel closes.
@@ -1131,7 +1052,6 @@ func (e *Engine) Stats() engine.Stats {
 	s.CheckpointFailures = e.ckptFailed.Load()
 	s.CheckpointRetries = e.ckptRetries.Load()
 	s.DegradedSince = uint64(e.degradedSince.Load())
-	s.WorkerMigrations = e.workerMigrations.Load()
 	return s
 }
 

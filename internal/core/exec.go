@@ -26,6 +26,7 @@ var errDepBusy = errors.New("bohm: read dependency busy")
 func (e *Engine) execWorker(w int) {
 	defer e.execWG.Done()
 	st := &e.execStats[w]
+	n := e.cfg.ExecWorkers
 	var sc *ctxPool
 	if e.retireCh != nil {
 		sc = &ctxPool{}
@@ -44,33 +45,26 @@ func (e *Engine) execWorker(w int) {
 			// distance).
 			sc.iterEpoch++
 		}
-		// The batch's stamped split decides how many execution workers
-		// stripe its nodes; a worker the split leaves idle skips straight
-		// to the bookkeeping below, so the watermark and retirement
-		// barriers keep their shape across governor migrations.
-		n := b.split.exec
-		if w < n {
-			for {
-				incomplete := false
-				for i := w; i < len(b.nodes); i += n {
-					nd := b.nodes[i]
-					if nd.state.Load() == stComplete {
-						continue
-					}
-					if nd.state.CompareAndSwap(stUnprocessed, stExecuting) {
-						e.execute(nd, st, sc)
-					}
-					if nd.state.Load() != stComplete {
-						incomplete = true
-					}
+		for {
+			incomplete := false
+			for i := w; i < len(b.nodes); i += n {
+				nd := b.nodes[i]
+				if nd.state.Load() == stComplete {
+					continue
 				}
-				if !incomplete {
-					break
+				if nd.state.CompareAndSwap(stUnprocessed, stExecuting) {
+					e.execute(nd, st, sc)
 				}
-				// All remaining responsibilities are blocked on other
-				// workers' progress; park briefly instead of spinning.
-				time.Sleep(5 * time.Microsecond)
+				if nd.state.Load() != stComplete {
+					incomplete = true
+				}
 			}
+			if !incomplete {
+				break
+			}
+			// All remaining responsibilities are blocked on other workers'
+			// progress; park briefly instead of spinning.
+			time.Sleep(5 * time.Microsecond)
 		}
 		// The timestamp boundary is published before the batch sequence:
 		// anyone who observes execBatch[w] >= b.seq is then guaranteed to
@@ -84,13 +78,13 @@ func (e *Engine) execWorker(w int) {
 		// orders every node's completion before that read. This precedes
 		// the execDone increment below, so batch retirement (and hence
 		// reuse) always waits for the recording to finish.
-		if o := e.obs; o != nil && b.obs.done.Add(1) == int32(e.maxExec) {
+		if o := e.obs; o != nil && b.obs.done.Add(1) == int32(n) {
 			e.obsRecordBatch(w, b, o)
 		}
 		if sc != nil && sc.va != nil {
 			sc.va.MaybeTrim()
 		}
-		if e.retireCh != nil && b.execDone.Add(1) == int32(e.maxExec) {
+		if e.retireCh != nil && b.execDone.Add(1) == int32(n) {
 			// Last worker out retires the batch to the sequencer's
 			// recycle ring. The send is non-blocking: if the ring is
 			// full the batch is simply left to the runtime collector.

@@ -1,8 +1,7 @@
 package core
 
 // CC-phase kernels: the amortization machinery the concurrency control
-// inner loop runs on unless Config.DisableCCKernels re-enables the
-// per-key baseline.
+// inner loop runs on, with or without pre-processing.
 //
 //   - keyHashPart is the single partition-selection function. Every site
 //     that routes a key to a partition (preprocessing, CC filtering, the
@@ -13,9 +12,6 @@ package core
 //     skew the same hot chain is probed hundreds of times per batch; the
 //     memo replaces the DRAM-sized hash-table probe with a few loads from
 //     a fixed 40KB table that stays cache-resident.
-//   - workerSplit is the CC/exec goroutine split a batch is processed
-//     under; the adaptive governor (governor.go) republishes it at batch
-//     granularity.
 
 import (
 	"bohm/internal/storage"
@@ -58,13 +54,17 @@ type memoEnt struct {
 // ccMemo is one CC worker's private key→chain memo. Only that worker
 // touches it, so there is no synchronization anywhere.
 //
-// Safety of caching *Chain for a whole batch: within a batch, the owning
-// worker is its partitions' single writer; reap sweeps (the only operation
-// that unbinds a key from its chain) run before any plan item of the batch
-// is processed; and the hash table's compaction moves slots, never chains
-// — so a key's chain mapping observed anywhere in the batch's CC step is
-// the mapping for the entire step. A memoized nil records "key absent",
-// which the write path upgrades in place when it creates the chain.
+// Safety of caching *Chain for a whole batch: the owning worker is its
+// partition's single writer for the engine's lifetime, so within the
+// batch's CC step nothing else can bind or unbind a key's chain; the reap
+// sweep (the only operation that unbinds a key from its chain) runs in the
+// same goroutine after the batch's barrier report, and every entry it
+// could invalidate is tagged with that batch's epoch, so the next batch's
+// probes never see it; and the hash table's compaction moves slots, never
+// chains. A key's chain mapping observed anywhere in the batch's CC step
+// is therefore the mapping for the entire step. A memoized nil records
+// "key absent", which the write path upgrades in place when it creates
+// the chain.
 type ccMemo struct {
 	ents [memoSlots]memoEnt
 }
@@ -85,6 +85,18 @@ func (m *ccMemo) get(h uint64, k txn.Key, epoch uint64) (*storage.Chain, bool) {
 	return nil, false
 }
 
+// lookup resolves k's chain in partition part through the memo, probing
+// the hash table with the carried hash h only on a miss and memoizing the
+// answer — including an absence — for the rest of the epoch.
+func (m *ccMemo) lookup(part *storage.Map[storage.Chain], h uint64, k txn.Key, epoch uint64) *storage.Chain {
+	ch, hit := m.get(h, k, epoch)
+	if !hit {
+		ch = part.GetHashed(k, h)
+		m.put(h, k, ch, epoch)
+	}
+	return ch
+}
+
 // put memoizes ch for (h, k) in the given epoch, preferring a dead slot
 // (stale epoch) in the probe window and overwriting the home slot when
 // the window is full of live entries.
@@ -99,14 +111,4 @@ func (m *ccMemo) put(h uint64, k txn.Key, ch *storage.Chain, epoch uint64) {
 		}
 	}
 	*slot = memoEnt{h: h, k: k, ch: ch, epoch: epoch}
-}
-
-// workerSplit is one assignment of the engine's worker budget to the two
-// pipeline phases. The sequencer stamps the current assignment into every
-// batch at flush time, so a split change is batch-atomic by construction:
-// no batch is ever processed under two assignments, which is the
-// "never migrates mid-batch" guarantee.
-type workerSplit struct {
-	cc   int // CC goroutines active; partition p is owned by worker p % cc
-	exec int // execution goroutines active; node i striped to worker i % exec
 }

@@ -11,9 +11,10 @@ import (
 )
 
 // Tests for the CC-phase kernels: the shared partition-selection function,
-// the per-batch hot-key memo's epoch isolation, the DisableCCKernels
-// ablation's bit-identical results, and the -race stress interleaving
-// hot-key RMW storms with scans, reaping and GC on the kernel path.
+// the per-batch hot-key memo's epoch isolation, and the -race stress
+// interleaving hot-key RMW storms with scans, reaping and GC. The two CC
+// dispatchers are checked against each other by
+// TestPreprocessMatchesBaseline.
 
 // TestPartitionSelectionShared pins every partition-routing site to the
 // one shared function: for random keys, keyHashPart, partOfHash over the
@@ -110,70 +111,6 @@ func TestMemoEpochProperty(t *testing.T) {
 	if _, hit := m.get(h, k, 101); hit {
 		t.Fatal("next-epoch get hit a stale entry")
 	}
-}
-
-// TestDisableCCKernelsIdenticalResults runs a deterministic mixed workload
-// (increments, deletes, aborts, declared scans) through the preprocessed
-// kernel path and the DisableCCKernels baseline and requires per-
-// transaction outcomes, scan observations and final states to match
-// exactly: the kernels must be invisible except in CC-phase cost.
-func TestDisableCCKernelsIdenticalResults(t *testing.T) {
-	run := func(disable bool) ([]string, map[txn.Key]uint64) {
-		reg := durRegistry()
-		cfg := DefaultConfig()
-		cfg.CCWorkers = 2
-		cfg.ExecWorkers = 2
-		cfg.BatchSize = 64
-		cfg.Capacity = 1 << 12
-		cfg.Preprocess = true
-		cfg.PreprocessWorkers = 2
-		cfg.DisableCCKernels = disable
-		e, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer e.Close()
-		loadInitial(t, e)
-		var outcomes []string
-		full := txn.KeyRange{Table: 0, Lo: 0, Hi: mutKeys + 64}
-		for i := 0; i < 60; i++ {
-			for _, err := range e.ExecuteBatch(workloadBatch(t, reg, i)) {
-				if err == nil {
-					outcomes = append(outcomes, "commit")
-				} else {
-					outcomes = append(outcomes, err.Error())
-				}
-			}
-			rows, sum := 0, uint64(0)
-			res := e.ExecuteBatch([]txn.Txn{&txn.Proc{
-				Ranges: []txn.KeyRange{full},
-				Body: func(c txn.Ctx) error {
-					return c.ReadRange(full, func(_ txn.Key, v []byte) error {
-						rows++
-						sum += txn.U64(v)
-						return nil
-					})
-				},
-			}})
-			if res[0] != nil {
-				t.Fatal(res[0])
-			}
-			outcomes = append(outcomes, fmt.Sprintf("scan:%d:%d", rows, sum))
-		}
-		return outcomes, dumpState(e)
-	}
-
-	onRes, onState := run(false)
-	offRes, offState := run(true)
-	if len(onRes) != len(offRes) {
-		t.Fatalf("outcome counts differ: %d vs %d", len(onRes), len(offRes))
-	}
-	for i := range onRes {
-		if onRes[i] != offRes[i] {
-			t.Fatalf("step %d: kernels %q vs DisableCCKernels %q", i, onRes[i], offRes[i])
-		}
-	}
-	sameState(t, "kernels vs DisableCCKernels", onState, offState)
 }
 
 // TestCCKernelsStress hammers the kernel path where the memo earns its

@@ -212,30 +212,19 @@ type batch struct {
 	// read-only fast path converts the execution watermark from batch
 	// space into timestamp space.
 	limitTS uint64
-	// plans, when pre-processing is enabled (§3.2.2) with the CC kernels
-	// disabled, holds per-partition work lists: plans[p][pp] is the
-	// sequence of items preprocessing worker pp extracted for partition p,
-	// in timestamp order.
-	plans [][][]planItem
 
-	// Kernel plan state (pre-processing with kernels on — the default):
-	// ppItems[j] is preprocessing worker j's dense partition-major slab of
-	// hash-carrying plan items, built by a private counting sort;
-	// ppOff[j][p]..ppOff[j][p+1] is worker j's window of partition p's
-	// work, ppCur[j] its fill cursors, and ppNW[j][p] the number of write
-	// items in that window — the CC worker's batched-placeholder grab count
-	// (see preprocKernel). Every row is touched by exactly one worker, so
-	// the stage needs no shared state; all of it persists across batch
-	// epochs.
+	// Plan state, when pre-processing is enabled (§3.2.2): ppItems[j] is
+	// preprocessing worker j's dense partition-major slab of hash-carrying
+	// plan items, built by a private counting sort; ppOff[j][p]..
+	// ppOff[j][p+1] is worker j's window of partition p's work, ppCur[j]
+	// its fill cursors, and ppNW[j][p] the number of write items in that
+	// window — the CC worker's batched-placeholder grab count (see
+	// preprocKernel). Every row is touched by exactly one worker, so the
+	// stage needs no shared state; all of it persists across batch epochs.
 	ppItems [][]planItem
 	ppOff   [][]int32
 	ppCur   [][]int32
 	ppNW    [][]int32
-
-	// split is the CC/exec worker assignment this batch is processed
-	// under; the sequencer stamps the current assignment at flush time, so
-	// an adaptive-governor migration lands exactly at a batch boundary.
-	split *workerSplit
 
 	// Arena state, populated only when pooling is on.
 	//
@@ -359,12 +348,6 @@ func (b *batch) resetForReuse() uint64 {
 	bytes += b.rangeRows.reset()
 	for i := range b.ents {
 		bytes += b.ents[i].reset()
-	}
-	for c := range b.plans {
-		for j := range b.plans[c] {
-			bytes += uint64(len(b.plans[c][j])) * planItemBytes
-			b.plans[c][j] = b.plans[c][j][:0]
-		}
 	}
 	for j := range b.ppItems {
 		bytes += uint64(len(b.ppItems[j])) * planItemBytes

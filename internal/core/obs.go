@@ -48,14 +48,12 @@ type obsState struct {
 func (o *obsState) now() int64 { return int64(time.Since(o.base)) }
 
 // newObsState builds the metrics set sized to the pipeline. Batch-stage
-// histograms are sharded by recording execution worker, so the shard
-// count is the spawned pool size (maxExec), not the configured split —
-// under AdaptiveWorkers any of the pool's workers can be the recorder.
-func newObsState(cfg *Config, maxExec int) *obsState {
+// histograms are sharded by recording execution worker.
+func newObsState(cfg *Config) *obsState {
 	return &obsState{
 		base:  time.Now(),
 		start: time.Now(),
-		m:     obs.NewMetrics(maxExec, cfg.ReadWorkers, cfg.FlightRecorderSize),
+		m:     obs.NewMetrics(cfg.ExecWorkers, cfg.ReadWorkers, cfg.FlightRecorderSize),
 	}
 }
 
@@ -184,10 +182,6 @@ func (e *Engine) gauges() []obs.Gauge {
 				}
 				return float64(n)
 			}},
-		{Name: "bohm_worker_split_cc", Help: "CC goroutines active under the current worker split.",
-			Value: func() float64 { return float64(e.split.Load().cc) }},
-		{Name: "bohm_worker_split_exec", Help: "Execution goroutines active under the current worker split.",
-			Value: func() float64 { return float64(e.split.Load().exec) }},
 		{Name: "bohm_engine_health", Help: "Durability health ladder position: 0 healthy, 1 log-degraded (writes refused, reads serve the last durable snapshot), 2 closed.",
 			Value: func() float64 { return float64(e.health.Load()) }},
 		{Name: "bohm_directory_entries", Help: "Ordered-directory entries across all partitions.",

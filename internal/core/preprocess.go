@@ -8,21 +8,15 @@ package core
 //
 // When Config.Preprocess is on, a pool of preprocessing workers sits
 // between the sequencer and the CC stage. Worker j handles a contiguous
-// stripe of each batch's transactions. Two plan representations exist:
+// stripe of each batch's transactions and bucket-sorts it into its own
+// dense, partition-major slab of plan items — each carrying its key's
+// precomputed hash — with a private two-pass counting sort (count,
+// prefix-sum, fill; no staging buffer, no cross-worker synchronization). A
+// CC worker walks one contiguous, cache-linear window per preprocessing
+// worker for its partition, and every index touch reuses the carried hash.
 //
-//   - Kernel (default): each worker bucket-sorts its stripe into its own
-//     dense, partition-major slab of widened plan items — carrying each
-//     key's precomputed hash — with a private two-pass counting sort
-//     (count, prefix-sum, fill; no staging buffer, no cross-worker
-//     synchronization). A CC worker walks one contiguous, cache-linear
-//     window per (worker, owned partition) pair, and every index touch
-//     reuses the carried hash.
-//   - Legacy (Config.DisableCCKernels): workers append to ragged
-//     plans[part][j] sub-slices and CC workers re-hash per item — the
-//     pre-kernel baseline, kept bit-identical for ablation.
-//
-// Both preserve timestamp order per partition: stripes are contiguous and
-// ascending, and worker windows within a partition's slab are laid out in
+// Timestamp order per partition is preserved: stripes are contiguous and
+// ascending, and worker windows within a partition's slab are walked in
 // stripe order.
 
 import (
@@ -38,10 +32,9 @@ const (
 )
 
 // planItem is one unit of CC work: annotate a read or a range, or insert
-// a write placeholder, for key/range index keyIdx of node nd. On the
-// kernel path hash is the key's precomputed 64-bit hash (for range items,
-// a synthesized value whose high bits encode the target partition); the
-// legacy path leaves it zero.
+// a write placeholder, for key/range index keyIdx of node nd. hash is the
+// key's precomputed 64-bit hash (for range items, a synthesized value
+// whose high bits encode the target partition).
 type planItem struct {
 	nd     *node
 	hash   uint64
@@ -63,8 +56,6 @@ func rangeHash(p int) uint64 { return uint64(p) << 40 }
 // preprocWorker analyzes its stripe of every batch.
 func (e *Engine) preprocWorker(j int) {
 	p := e.cfg.PreprocessWorkers
-	m := e.nparts
-	kernels := !e.cfg.DisableCCKernels
 	for b := range e.ppIn[j] {
 		stripe := len(b.nodes) / p
 		lo := j * stripe
@@ -72,31 +63,7 @@ func (e *Engine) preprocWorker(j int) {
 		if j == p-1 {
 			hi = len(b.nodes)
 		}
-		if kernels {
-			e.preprocKernel(j, b, b.nodes[lo:hi])
-		} else {
-			for _, nd := range b.nodes[lo:hi] {
-				if nd.readRefs != nil {
-					for i, k := range nd.reads {
-						_, part := keyHashPart(k, m)
-						b.plans[part][j] = append(b.plans[part][j], planItem{nd: nd, keyIdx: int32(i), kind: itemRead})
-					}
-				}
-				if nd.rangeRefs != nil {
-					// Keys are hash-partitioned, so a range overlaps every
-					// partition: each CC worker annotates its own slice.
-					for r := range nd.ranges {
-						for part := 0; part < m; part++ {
-							b.plans[part][j] = append(b.plans[part][j], planItem{nd: nd, keyIdx: int32(r), kind: itemRange})
-						}
-					}
-				}
-				for i, k := range nd.writes {
-					_, part := keyHashPart(k, m)
-					b.plans[part][j] = append(b.plans[part][j], planItem{nd: nd, keyIdx: int32(i), kind: itemWrite})
-				}
-			}
-		}
+		e.preprocKernel(j, b, b.nodes[lo:hi])
 		e.ppDone[j] <- b
 	}
 	close(e.ppDone[j])
@@ -202,34 +169,11 @@ func (e *Engine) ppForwarder() {
 	}
 }
 
-// runPlanned is the legacy CC path over a preprocessed plan for partition
-// p: only the keys the partition owns are visited, in timestamp order.
-func (e *Engine) runPlanned(p int, b *batch, pool *storage.VersionPool,
-	annoIter *storage.DirIter, wmLookup func() uint64) {
-	part := e.parts[p]
-	st := &e.ccStats[p]
-	for _, items := range b.plans[p] {
-		for _, it := range items {
-			nd := it.nd
-			switch it.kind {
-			case itemRead:
-				if c := part.Get(nd.reads[it.keyIdx]); c != nil {
-					nd.readRefs[it.keyIdx] = c.Head()
-				}
-			case itemRange:
-				e.annotateRange(p, b, nd, int(it.keyIdx), annoIter)
-			default:
-				e.insertPlaceholder(part, st, pool, nd, int(it.keyIdx), b.seq, wmLookup)
-			}
-		}
-	}
-}
-
-// runPlannedKernel is the kernel CC path for partition p: one dense,
-// cache-linear window per preprocessing worker (walked in stripe order,
-// so the partition stays in timestamp order), every probe reusing the
-// carried hash through the per-worker memo — repeat touches of a hot key
-// resolve in the 40KB memo instead of re-probing the DRAM-sized hash
+// runPlannedKernel is the pre-processed CC path for partition p: one
+// dense, cache-linear window per preprocessing worker (walked in stripe
+// order, so the partition stays in timestamp order), every probe reusing
+// the carried hash through the per-worker memo — repeat touches of a hot
+// key resolve in the 40KB memo instead of re-probing the DRAM-sized hash
 // table, so under skew the slot loads a batch performs group into runs
 // that stay in cache.
 //
@@ -239,8 +183,8 @@ func (e *Engine) runPlanned(p int, b *batch, pool *storage.VersionPool,
 // loop keeps several of those misses in flight where per-write allocation
 // would serialize them behind the chain and index work. grab is the
 // worker's reusable scratch for the grabbed run.
-func (e *Engine) runPlannedKernel(p int, b *batch, pool *storage.VersionPool, memo *ccMemo,
-	annoIter *storage.DirIter, wmLookup func() uint64, grab *[]*storage.Version) {
+func (e *Engine) runPlannedKernel(p int, b *batch, memo *ccMemo, wmLookup func() uint64, grab *[]*storage.Version) {
+	pool := e.poolOf(p)
 	part := e.parts[p]
 	var ks kernelStats
 	var vs []*storage.Version
@@ -267,17 +211,11 @@ func (e *Engine) runPlannedKernel(p int, b *batch, pool *storage.VersionPool, me
 			nd := it.nd
 			switch it.kind {
 			case itemRead:
-				k := nd.reads[it.keyIdx]
-				ch, hit := memo.get(it.hash, k, b.seq)
-				if !hit {
-					ch = part.GetHashed(k, it.hash)
-					memo.put(it.hash, k, ch, b.seq)
-				}
-				if ch != nil {
+				if ch := memo.lookup(part, it.hash, nd.reads[it.keyIdx], b.seq); ch != nil {
 					nd.readRefs[it.keyIdx] = ch.Head()
 				}
 			case itemRange:
-				e.annotateRange(p, b, nd, int(it.keyIdx), annoIter)
+				e.annotateRange(p, b, nd, int(it.keyIdx))
 			default:
 				var v *storage.Version
 				if vs != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 
 	"bohm/internal/txn"
@@ -37,9 +38,17 @@ func TestPreprocessSerializationOrder(t *testing.T) {
 	}
 }
 
-// TestPreprocessMatchesBaseline runs the same workload with and without
-// pre-processing; final states must be identical.
+// TestPreprocessMatchesBaseline runs the same workloads with and without
+// pre-processing: the two CC dispatchers — the unplanned node scan and the
+// planned kernel — must be indistinguishable except in CC-phase cost.
 func TestPreprocessMatchesBaseline(t *testing.T) {
+	t.Run("increments", testPreprocessIncrements)
+	t.Run("mixed", testPreprocessMixed)
+}
+
+// testPreprocessIncrements: two-key cross-partition increments; final
+// states must be identical.
+func testPreprocessIncrements(t *testing.T) {
 	mkWork := func() []txn.Txn {
 		var ts []txn.Txn
 		for i := 0; i < 400; i++ {
@@ -78,6 +87,78 @@ func TestPreprocessMatchesBaseline(t *testing.T) {
 			t.Errorf("key %d: baseline %d, preprocessed %d", i, base[i], pp[i])
 		}
 	}
+}
+
+// testPreprocessMixed runs a deterministic mixed workload (single-key
+// increments, deletes, aborts and inserts, two-key cross-partition
+// increments, and a declared full-table scan after every round) and
+// requires per-transaction outcomes, scan observations and final states
+// to match exactly.
+func testPreprocessMixed(t *testing.T) {
+	run := func(preprocess bool) ([]string, map[txn.Key]uint64) {
+		reg := durRegistry()
+		cfg := DefaultConfig()
+		cfg.CCWorkers = 2
+		cfg.ExecWorkers = 2
+		cfg.BatchSize = 32
+		cfg.Capacity = 1 << 12
+		cfg.Preprocess = preprocess
+		cfg.PreprocessWorkers = 2
+		e, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer e.Close()
+		loadInitial(t, e)
+		var outcomes []string
+		full := txn.KeyRange{Table: 0, Lo: 0, Hi: mutKeys + 64}
+		for i := 0; i < 60; i++ {
+			ts := workloadBatch(t, reg, i)
+			for j := 0; j < 8; j++ {
+				a := uint64(i*8+j) % 13
+				b := uint64((i*8+j)*7+3) % 13
+				if a == b {
+					b = (b + 1) % 13
+				}
+				ts = append(ts, incTxn(a, b))
+			}
+			for _, err := range e.ExecuteBatch(ts) {
+				if err == nil {
+					outcomes = append(outcomes, "commit")
+				} else {
+					outcomes = append(outcomes, err.Error())
+				}
+			}
+			rows, sum := 0, uint64(0)
+			res := e.ExecuteBatch([]txn.Txn{&txn.Proc{
+				Ranges: []txn.KeyRange{full},
+				Body: func(c txn.Ctx) error {
+					return c.ReadRange(full, func(_ txn.Key, v []byte) error {
+						rows++
+						sum += txn.U64(v)
+						return nil
+					})
+				},
+			}})
+			if res[0] != nil {
+				t.Fatal(res[0])
+			}
+			outcomes = append(outcomes, fmt.Sprintf("scan:%d:%d", rows, sum))
+		}
+		return outcomes, dumpState(e)
+	}
+
+	baseRes, baseState := run(false)
+	ppRes, ppState := run(true)
+	if len(baseRes) != len(ppRes) {
+		t.Fatalf("outcome counts differ: %d vs %d", len(baseRes), len(ppRes))
+	}
+	for i := range baseRes {
+		if baseRes[i] != ppRes[i] {
+			t.Fatalf("step %d: baseline %q vs preprocessed %q", i, baseRes[i], ppRes[i])
+		}
+	}
+	sameState(t, "baseline vs preprocessed", ppState, baseState)
 }
 
 // TestPreprocessReadRefsAnnotated: the plan path must still produce read

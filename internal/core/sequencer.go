@@ -169,34 +169,19 @@ func (e *Engine) sequencer() {
 		if e.trackTS {
 			e.recordBatchTS(cur.seq, nextTS)
 		}
-		// Stamp the CC/exec worker assignment the batch will be processed
-		// under. Reading it once, here, is what makes a governor migration
-		// batch-atomic: every stage of this batch sees the same split.
-		cur.split = e.split.Load()
-		if e.cfg.Preprocess {
-			if e.cfg.DisableCCKernels {
-				if cur.plans == nil {
-					// Recycled batches keep their plan structure (resetForReuse
-					// truncated the work lists); only fresh batches build it.
-					cur.plans = make([][][]planItem, e.nparts)
-					for c := range cur.plans {
-						cur.plans[c] = make([][]planItem, e.cfg.PreprocessWorkers)
-					}
-				}
-			} else if cur.ppOff == nil {
-				// Kernel plan spine: per-worker offset and cursor rows. The
-				// per-worker item slabs size themselves on first fill; all
-				// of it survives recycling.
-				pp := e.cfg.PreprocessWorkers
-				cur.ppItems = make([][]planItem, pp)
-				cur.ppOff = make([][]int32, pp)
-				cur.ppCur = make([][]int32, pp)
-				cur.ppNW = make([][]int32, pp)
-				for j := 0; j < pp; j++ {
-					cur.ppOff[j] = make([]int32, e.nparts+1)
-					cur.ppCur[j] = make([]int32, e.nparts)
-					cur.ppNW[j] = make([]int32, e.nparts)
-				}
+		if e.cfg.Preprocess && cur.ppOff == nil {
+			// Plan spine: per-preprocessing-worker offset and cursor rows.
+			// The per-worker item slabs size themselves on first fill; all
+			// of it survives recycling.
+			pp := e.cfg.PreprocessWorkers
+			cur.ppItems = make([][]planItem, pp)
+			cur.ppOff = make([][]int32, pp)
+			cur.ppCur = make([][]int32, pp)
+			cur.ppNW = make([][]int32, pp)
+			for j := 0; j < pp; j++ {
+				cur.ppOff[j] = make([]int32, e.nparts+1)
+				cur.ppCur[j] = make([]int32, e.nparts)
+				cur.ppNW[j] = make([]int32, e.nparts)
 			}
 		}
 		for _, ch := range e.seqOut {

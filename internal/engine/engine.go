@@ -126,9 +126,6 @@ type Stats struct {
 	// failed (and will be retried). A growing value means the log is not
 	// being truncated and version garbage collection is pinned.
 	CheckpointFailures uint64
-	// WorkerMigrations counts workers the adaptive governor has moved
-	// across the CC/exec split (always 0 without AdaptiveWorkers).
-	WorkerMigrations uint64
 }
 
 // Sub returns the element-wise difference s - o, for measuring an
@@ -166,6 +163,5 @@ func (s Stats) Sub(o Stats) Stats {
 		DegradedSince:        s.DegradedSince - o.DegradedSince,
 		Checkpoints:          s.Checkpoints - o.Checkpoints,
 		CheckpointFailures:   s.CheckpointFailures - o.CheckpointFailures,
-		WorkerMigrations:     s.WorkerMigrations - o.WorkerMigrations,
 	}
 }

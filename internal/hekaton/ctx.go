@@ -133,6 +133,14 @@ func (c *hCtx) install(k txn.Key, val []byte, tomb bool) error {
 			c.conflict = true
 			return errConflict
 		}
+		// claimTarget read end before endTxn; a committer that superseded
+		// target in between stored end before releasing endTxn, so a
+		// successful CAS may still have claimed a superseded version.
+		if target.end.Load() != storage.TsInfinity {
+			target.endTxn.CompareAndSwap(c.r, nil)
+			c.conflict = true
+			return errConflict
+		}
 		c.r.claimed = append(c.r.claimed, target)
 	}
 

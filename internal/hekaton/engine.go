@@ -234,8 +234,16 @@ func (e *Engine) runWithRetry(t txn.Txn) error {
 
 // runOnce performs one attempt of t's logic plus the commit protocol.
 func (e *Engine) runOnce(t txn.Txn) error {
+	// Take an active slot before the begin timestamp. The placeholder (the
+	// counter's current value) is at or below beginTS, so a concurrent
+	// trim's minActive never misses this transaction: registering after
+	// nextTS left a window in which a committer could cut the versions the
+	// new snapshot still needs, surfacing as a spurious "not found".
+	slot := e.claimSlot(e.counter.Load())
 	r := &hTxn{beginTS: e.nextTS()}
-	slot := e.claimSlot(r.beginTS)
+	if slot >= 0 {
+		e.active[slot].Store(r.beginTS)
+	}
 	defer e.releaseSlot(slot)
 
 	c := &hCtx{e: e, r: r, writes: t.WriteSet()}
@@ -263,6 +271,11 @@ func (e *Engine) runOnce(t txn.Txn) error {
 // reads (Serializable), wait out commit dependencies, then finalize all
 // written and claimed versions.
 func (e *Engine) commit(r *hTxn) error {
+	// Leave txActive before fetching endTS: the counter orders that fetch
+	// before any later begin timestamp, so a reader that began after
+	// endTS sees txEnding or later and waits, instead of skipping r's
+	// versions as Active and then finding their predecessors superseded.
+	r.state.Store(txEnding)
 	r.endTS = e.nextTS()
 	r.state.Store(txPreparing)
 

@@ -32,9 +32,13 @@ import (
 	"bohm/internal/txn"
 )
 
-// Transaction states, per Larson et al. §2.
+// Transaction states, per Larson et al. §2, plus txEnding: the short
+// window in which a committer is fetching its end timestamp. A reader that
+// began after that fetch must not judge the committer Active, so readers
+// wait txEnding out (see beginVisible/endVisible).
 const (
 	txActive int32 = iota
+	txEnding
 	txPreparing
 	txCommitted
 	txAborted

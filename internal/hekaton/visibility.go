@@ -63,6 +63,9 @@ func (e *Engine) beginVisible(v *version, ts uint64, r *hTxn, skipOwn bool) begi
 		switch w.state.Load() {
 		case txActive:
 			return beginSkip // uncommitted data of an active transaction
+		case txEnding:
+			runtime.Gosched() // w is fetching its end timestamp
+			return beginRetry
 		case txPreparing:
 			// Speculative visibility (commit dependency): if w commits,
 			// this version's begin becomes w.endTS.
@@ -106,6 +109,9 @@ func (e *Engine) endVisible(v *version, ts uint64, r *hTxn) bool {
 	switch c.state.Load() {
 	case txActive:
 		return true // invalidation not committed yet
+	case txEnding:
+		runtime.Gosched() // c is fetching its end timestamp
+		return e.endVisible(v, ts, r)
 	case txPreparing:
 		if ts >= c.endTS {
 			// Speculatively superseded if c commits.
