@@ -392,7 +392,7 @@ func benchAllocPointWrite(b *testing.B, disablePooling, metrics bool) {
 	cfg := core.DefaultConfig()
 	cfg.CCWorkers, cfg.ExecWorkers = 2, 2
 	cfg.Capacity = benchRecords
-	cfg.DisablePooling = disablePooling
+	cfg = core.WithAblations(cfg, core.Ablations{DisablePooling: disablePooling})
 	cfg.Metrics = metrics
 	driveAllocBench(b, cfg, bench.PointWriteWindows(benchRecords, benchRecordSize, 4096, 256))
 }
@@ -403,7 +403,7 @@ func benchAllocPointWrite(b *testing.B, disablePooling, metrics bool) {
 func BenchmarkAllocYCSBPointWrite(b *testing.B) { benchAllocPointWrite(b, false, false) }
 
 // BenchmarkAllocYCSBPointWriteNoPool is the ablation: the same path with
-// Config.DisablePooling, i.e. the pre-arena allocation profile.
+// the DisablePooling ablation, i.e. the pre-arena allocation profile.
 func BenchmarkAllocYCSBPointWriteNoPool(b *testing.B) { benchAllocPointWrite(b, true, false) }
 
 // BenchmarkAllocYCSBPointWriteMetrics is the pooled point-write path with
@@ -565,7 +565,7 @@ func benchAllocChurnScan(b *testing.B, disableReaping bool) {
 	cfg := core.DefaultConfig()
 	cfg.CCWorkers, cfg.ExecWorkers = 2, 2
 	cfg.Capacity = benchRecords
-	cfg.DisableReaping = disableReaping
+	cfg = core.WithAblations(cfg, core.Ablations{DisableReaping: disableReaping})
 	e, err := core.New(cfg)
 	if err != nil {
 		b.Fatal(err)

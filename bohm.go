@@ -61,8 +61,9 @@
 // version chain are reclaimed under the same epoch discipline that
 // protects lock-free readers — so directories and scans track the live
 // working set even under insert/delete churn (queues, sessions,
-// TTL-style tables). Config.DisableReaping restores the insert-only
-// behaviour for ablation.
+// TTL-style tables). Reaping is always on with GC; the in-repo
+// benchmarks compare it with the insert-only index through the
+// DisableReaping ablation (core.WithAblations), not a public setting.
 //
 // # Read-only fast path
 //

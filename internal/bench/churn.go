@@ -201,7 +201,7 @@ func makeChurnEngine(kind EngineKind, s Scale, disableReaping bool) engine.Engin
 		cfg := core.DefaultConfig()
 		cfg.CCWorkers, cfg.ExecWorkers = cc, exec
 		cfg.Capacity = s.Records + s.Records/4 + 1024
-		cfg.DisableReaping = disableReaping
+		cfg = core.WithAblations(cfg, core.Ablations{DisableReaping: disableReaping})
 		e, err := core.New(cfg)
 		if err != nil {
 			panic(err)

@@ -57,8 +57,7 @@ func Mem(s Scale) []*Table {
 		cfg := core.DefaultConfig()
 		cfg.CCWorkers, cfg.ExecWorkers = cc, exec
 		cfg.Capacity = s.Records
-		cfg.DisablePooling = !v.pooling
-		cfg.DisableValueArena = !v.arena
+		cfg = core.WithAblations(cfg, core.Ablations{DisablePooling: !v.pooling, DisableValueArena: !v.arena})
 		e, err := core.New(cfg)
 		if err != nil {
 			panic(err)

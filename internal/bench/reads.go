@@ -112,7 +112,7 @@ func Reads(s Scale) []*Table {
 		},
 		Notes: []string{
 			"every submission mixes single-key reads and RMWs in one ExecuteBatch call; the heuristic diverts the reads to the snapshot fast path only when they are the strict majority of the call",
-			"\"always split\" sets Config.DisableMixedPipelining — the unconditional diversion, which at read-minority mixes pays the two-path coordination cost for little fast-path work",
+			"\"always split\" sets the DisableMixedPipelining ablation — the unconditional diversion, which at read-minority mixes pays the two-path coordination cost for little fast-path work",
 			"heuristic % is heuristic throughput over always-split throughput at the same mix, in percent; at and below 50% reads the heuristic keeps the reads pipelined and must not regress",
 			"median of interleaved paired reps: the two arms alternate within each rep so scheduler drift hits both equally, and the median ratio discards the outlier runs a 1-core host produces",
 		},
@@ -122,7 +122,7 @@ func Reads(s Scale) []*Table {
 			cfg := core.DefaultConfig()
 			cfg.CCWorkers, cfg.ExecWorkers = cc, exec
 			cfg.Capacity = s.Records
-			cfg.DisableMixedPipelining = alwaysSplit
+			cfg = core.WithAblations(cfg, core.Ablations{DisableMixedPipelining: alwaysSplit})
 			e, err := core.New(cfg)
 			if err != nil {
 				panic(err)

@@ -17,11 +17,11 @@ import (
 // clients (each keeping `depth` submissions in flight) drive the uniform
 // 10RMW workload through internal/server's group batcher, sweeping
 // connection count x per-connection pipeline depth. The final series is
-// the ablation — MaxBatch=1 disables cross-connection grouping, so every
-// ExecuteBatch carries one transaction and pays the sequencer barrier
-// alone. The gap between the two is the thesis of the front-end: batch
-// costs amortize only if someone forms batches, and with many thin
-// connections only the server can.
+// the ablation — MaxBatch=1 disables the server's grouping, so every
+// ExecuteBatch carries one transaction. Its in-flight cap is raised to
+// every outstanding request, so the engine still sees them all at once
+// and its sequencer merges concurrent calls into shared batches: the
+// ablation removes the batcher's grouping and nothing else.
 func ServerSweep(s Scale) []*Table {
 	depths := s.ServerDepths
 	maxDepth := depths[len(depths)-1]
@@ -33,7 +33,7 @@ func ServerSweep(s Scale) []*Table {
 
 	notes := []string{
 		"loopback TCP, closed-loop clients; uniform 10RMW via the registered ycsb.rmw procedure",
-		"no-group: server MaxBatch=1, one transaction per ExecuteBatch (grouping ablation)",
+		"no-group: server MaxBatch=1, one transaction per ExecuteBatch, MaxInFlight = connections x depth (grouping ablation; the sequencer still merges concurrent calls)",
 		hostNote(),
 	}
 	tput := &Table{
@@ -73,7 +73,8 @@ func ServerSweep(s Scale) []*Table {
 // raise the count so every point runs several multiples of its total
 // outstanding window — 64 connections x depth 32 needs more than a
 // handful of transactions per connection to reach steady state. maxBatch
-// > 0 overrides the server's coalescing cap (1 = grouping off).
+// > 0 overrides the server's coalescing cap (1 = grouping off) and lifts
+// the in-flight cap to every outstanding request.
 func measureServer(s Scale, conns, depth, maxBatch int) Result {
 	txns := s.Txns
 	if m := conns * depth * 8; txns < m {
@@ -102,6 +103,7 @@ func measureServer(s Scale, conns, depth, maxBatch int) Result {
 	scfg := server.Config{Addr: "127.0.0.1:0", PipelineDepth: depth}
 	if maxBatch > 0 {
 		scfg.MaxBatch = maxBatch
+		scfg.MaxInFlight = conns * depth
 	}
 	srv, err := server.New(eng, reg, scfg)
 	if err != nil {

@@ -34,7 +34,7 @@ import (
 // protects chain GC.
 func (e *Engine) ccWorker(w int) {
 	defer e.ccWG.Done()
-	reapOn := e.cfg.GC && !e.cfg.DisableReaping
+	reapOn := e.cfg.GC && !e.cfg.ablate.DisableReaping
 	memo := newCCMemo()
 	// grab is the worker's batched-placeholder scratch (planned path); it
 	// grows to the largest per-partition write run and is reused forever.
@@ -185,7 +185,7 @@ type ccPartState struct {
 	reapCursor txn.Key
 	// reapBudget is the adaptive sweep budget, scaled each sweep by the
 	// tombstone hit rate the previous sweep observed (fixed at
-	// reapSweepPerBatch under Config.DisableAdaptiveReap).
+	// reapSweepPerBatch under the DisableAdaptiveReap ablation).
 	reapBudget int32
 }
 
@@ -237,7 +237,7 @@ func nextReapBudget(cur int32, reaped, examined int) int32 {
 func (e *Engine) reapSweep(p int, part *storage.Map[storage.Chain], pool *storage.VersionPool,
 	st *workerStats, ps *ccPartState, batchSeq, wm uint64) {
 	budget := int(ps.reapBudget)
-	if e.cfg.DisableAdaptiveReap {
+	if e.cfg.ablate.DisableAdaptiveReap {
 		budget = reapSweepPerBatch
 	}
 	d := e.dirs[p]
@@ -265,7 +265,7 @@ func (e *Engine) reapSweep(p int, part *storage.Map[storage.Chain], pool *storag
 		}
 	}
 	ps.reapCursor = next
-	if !e.cfg.DisableAdaptiveReap {
+	if !e.cfg.ablate.DisableAdaptiveReap {
 		ps.reapBudget = nextReapBudget(int32(budget), reaped, examined)
 	}
 }

@@ -51,30 +51,6 @@ type Config struct {
 	// DisableReadRefs turns off the read-reference annotation of §3.2.3,
 	// forcing reads to traverse version chains (ablation).
 	DisableReadRefs bool
-	// DisablePooling turns off the engine's memory recycling (ablation):
-	// batch, node and annotation memory is allocated per transaction and
-	// abandoned to the runtime's garbage collector, and placeholder
-	// versions are individually heap-allocated instead of drawn from
-	// per-partition blocks. With pooling on (the default) the steady-state
-	// transaction path performs no allocation: batches cycle through a
-	// retire ring gated on the execution watermark (and the checkpoint
-	// pin, when checkpointing), and versions collected by GC return to the
-	// owning partition's pool under the same epoch argument. Results are
-	// identical either way; only the allocation profile differs.
-	DisablePooling bool
-	// DisableReaping turns off the index lifecycle (ablation): dead keys —
-	// records whose newest surviving version is a tombstone below the
-	// execution watermark — keep their directory entries, hash slots and
-	// version chains forever, the insert-only behaviour of the original
-	// two-tier index. With reaping on (the default, when GC is on), each CC
-	// worker sweeps a bounded slice of its partition's directory per batch
-	// and fully reclaims proven-dead keys: the directory entry is unlinked
-	// (shrinking the key fences), the hash slot is freed for reuse, and
-	// the chain's versions retire through the version-pool limbo under the
-	// same watermark epoch that gates chain GC. Results are identical
-	// either way — a reaped key and a tombstoned key are equally invisible
-	// — only memory and scan cost differ.
-	DisableReaping bool
 	// ReadWorkers sizes the snapshot-read pool serving the read-only fast
 	// path (default: ExecWorkers). Read-only transactions never enter the
 	// sequencer → CC → execution pipeline; they run on these workers
@@ -82,11 +58,11 @@ type Config struct {
 	// every version is final.
 	ReadWorkers int
 	// DisableReadOnlyFastPath sends read-only transactions through the
-	// full pipeline like any other transaction (ablation). The results
-	// are identical for sequential submitters either way — the fast path
-	// serializes a read-only transaction at the execution watermark,
-	// which its recency gate keeps at or above every previously
-	// acknowledged write — but concurrent submitters may observe
+	// full pipeline like any other transaction. Unlike the Ablations it
+	// is observable. Results are identical for sequential submitters —
+	// the fast path serializes a read-only transaction at the execution
+	// watermark, which its recency gate keeps at or above every
+	// previously acknowledged write — but concurrent submitters may observe
 	// read-only transactions of a mixed ExecuteBatch call serializing
 	// before, rather than after, that same call's writes. With the fast
 	// path off, read-only transactions submitted to a durable engine must
@@ -103,46 +79,6 @@ type Config struct {
 	// analysis is embarrassingly parallel; each worker handles a
 	// contiguous stripe of every batch.
 	PreprocessWorkers int
-	// DisableAdaptiveReap pins the index-lifecycle sweep budget at its
-	// fixed default instead of scaling it by each sweep's observed
-	// tombstone hit rate (ablation). Results are identical; only how fast
-	// the directory converges after churn — and how much lifecycle work a
-	// quiescent table pays per batch — differs.
-	DisableAdaptiveReap bool
-	// DisableValueArena turns off the payload arena (ablation): each
-	// committed write's value is copied into a fresh heap allocation
-	// abandoned to the runtime GC instead of being carved from the
-	// executing worker's payload slab. The caller-buffer contract is
-	// identical either way — install always copies the staged value, so a
-	// transaction may reuse its write buffer the moment Run returns — and
-	// results are bit-identical (pinned by
-	// TestDisableValueArenaIdenticalResults); only the allocation profile
-	// differs. Implied by DisablePooling: payload slabs recycle through
-	// the version-pool limbo, so without version pooling there is no
-	// epoch-gated release for the slabs to ride.
-	DisableValueArena bool
-	// DisableIdleReap turns off the idle reclamation tick (ablation): a
-	// quiescent engine stops advancing reclamation the moment its last
-	// submitted batch executes, leaving retired versions parked in limbo
-	// and dead keys unswept until the next real submission arrives. With
-	// the tick on (the default, when GC is on), an idle engine feeds
-	// itself empty batches at a millisecond cadence — each one advances
-	// the execution watermark, releases limbo generations, runs the
-	// bounded reap sweep and trims pool blocks and payload slabs — until
-	// a full directory sweep's worth of ticks passes without reclamation
-	// progress. Results are unaffected; only how fast a quiescent
-	// engine's memory converges to its live working set differs.
-	DisableIdleReap bool
-	// DisableMixedPipelining always splits a mixed ExecuteBatch call
-	// (ablation): its read-only transactions divert to the snapshot-read
-	// pool no matter how few they are. By default a mixed call whose
-	// readers are not the majority keeps everything pipelined — the
-	// split's bookkeeping and the half-empty batches it feeds the
-	// sequencer cost more than the reads it relieves the pipeline of.
-	// Serialization stays correct either way (pipelined reads serialize
-	// in submission order, exactly as under DisableReadOnlyFastPath);
-	// only the mixed call's throughput profile differs.
-	DisableMixedPipelining bool
 
 	// LogDir, when non-empty, enables the durability subsystem: every
 	// batch is appended to a command log in LogDir before execution and
@@ -204,6 +140,52 @@ type Config struct {
 	// FlightRecorderSize is the number of recent batch records the flight
 	// recorder retains (default 256).
 	FlightRecorderSize int
+
+	// ablate holds the engineering ablations; set through WithAblations.
+	ablate Ablations
+}
+
+// Ablations switches off engineering mechanisms the paper does not
+// describe, so benchmarks and tests can price them. They trade memory or
+// throughput only — the identical-results tests pin each one against the
+// default engine — which keeps them out of the public Config; the paper's
+// own ablations (DisableReadRefs, Preprocess, GC, BatchSize) are Config
+// fields. Set them through WithAblations.
+type Ablations struct {
+	// DisablePooling allocates batch, node and annotation memory per
+	// transaction and heap-allocates each placeholder version instead of
+	// recycling them through the retire ring and the per-partition
+	// version pools. Implies DisableValueArena: payload slabs recycle
+	// through the version-pool limbo.
+	DisablePooling bool
+	// DisableReaping keeps dead keys (newest surviving version a
+	// tombstone below the execution watermark) in the directory, hash
+	// index and version chains forever — the insert-only index — instead
+	// of reclaiming them in the CC workers' bounded per-batch sweep. A
+	// reaped key and a tombstoned key are equally invisible.
+	DisableReaping bool
+	// DisableAdaptiveReap pins the reap sweep budget at its fixed default
+	// instead of scaling it by each sweep's tombstone hit rate.
+	DisableAdaptiveReap bool
+	// DisableValueArena copies each committed value into a fresh heap
+	// allocation instead of the executing worker's payload slab. Install
+	// copies either way, so a transaction may reuse its write buffer the
+	// moment Run returns.
+	DisableValueArena bool
+	// DisableIdleReap turns off the idle reclamation tick (see idleLoop):
+	// a quiescent engine then leaves limbo generations and dead keys
+	// parked until the next real submission.
+	DisableIdleReap bool
+	// DisableMixedPipelining splits every mixed ExecuteBatch call, however
+	// few its readers (see divertReads).
+	DisableMixedPipelining bool
+}
+
+// WithAblations returns cfg with its engineering ablations replaced by a.
+// New and Recover both honour them.
+func WithAblations(cfg Config, a Ablations) Config {
+	cfg.ablate = a
+	return cfg
 }
 
 // DefaultConfig returns a small general-purpose configuration.
@@ -363,11 +345,11 @@ type Engine struct {
 	execStats []workerStats // one per execution worker
 	roStats   []workerStats // one per snapshot-read worker
 
-	// Pooling state (nil / unused under Config.DisablePooling). vpools[p]
-	// is CC worker p's version block allocator; retireCh carries executed
-	// batches back to the sequencer, which recycles them once the
-	// watermark gate (retireLag) passes. arenaBatches and arenaBytes are
-	// the recycling observability counters.
+	// Pooling state (nil / unused under the DisablePooling ablation).
+	// vpools[p] is CC worker p's version block allocator; retireCh
+	// carries executed batches back to the sequencer, which recycles them
+	// once the watermark gate (retireLag) passes. arenaBatches and
+	// arenaBytes are the recycling observability counters.
 	vpools       []*storage.VersionPool
 	retireCh     chan *batch
 	arenaBatches atomic.Uint64
@@ -530,7 +512,7 @@ func build(cfg Config) *Engine {
 		// see retireLag before changing it.
 		e.execIn[i] = make(chan *batch, execQueueCap)
 	}
-	if !cfg.DisablePooling {
+	if !cfg.ablate.DisablePooling {
 		e.vpools = make([]*storage.VersionPool, nparts)
 		for p := range e.vpools {
 			e.vpools[p] = storage.NewVersionPool()
@@ -539,7 +521,7 @@ func build(cfg Config) *Engine {
 		// on retirement; overflow batches are simply dropped to the
 		// runtime GC by the non-blocking send.
 		e.retireCh = make(chan *batch, 2*maxFreeBatches)
-		if !cfg.DisableValueArena {
+		if !cfg.ablate.DisableValueArena {
 			e.varenas = make([]*storage.ValueArena, cfg.ExecWorkers)
 			for w := range e.varenas {
 				e.varenas[w] = storage.NewValueArena()
@@ -607,7 +589,7 @@ func (e *Engine) start() {
 // contiguity check rejects. New calls it right after start; Recover
 // calls it only once replay has drained and logging is re-enabled.
 func (e *Engine) startIdle() {
-	if !e.cfg.GC || e.cfg.DisableIdleReap {
+	if !e.cfg.GC || e.cfg.ablate.DisableIdleReap {
 		return
 	}
 	e.idleStop = make(chan struct{})
@@ -615,12 +597,15 @@ func (e *Engine) startIdle() {
 	go e.idleLoop()
 }
 
-// idleTickInterval is the idle loop's polling cadence; idleTickSlack is
-// the extra ticks granted past one full directory sweep so the
-// watermark can advance through retireLag and drain limbo even when the
-// sweep itself finds nothing.
+// idleTickInterval is the idle loop's polling cadence. idleQuietPolls
+// caught-up polls must pass with no real batch acknowledged before ticks
+// start, so a loaded engine that merely catches up between calls is left
+// alone. idleTickSlack is the extra ticks granted past one full directory
+// sweep so the watermark can advance through retireLag and drain limbo
+// even when the sweep itself finds nothing.
 const (
 	idleTickInterval = time.Millisecond
+	idleQuietPolls   = 10
 	idleTickSlack    = 8
 )
 
@@ -629,11 +614,11 @@ const (
 // limbo generations and advances the bounded reap sweep — but the last
 // few batches before quiescence leave work parked: generations under
 // the retireLag gate, dead keys the sweep cursor has not reached, and
-// arena slabs waiting for a trim check. The loop watches for quiescence
-// (every submitted batch executed, nothing queued) and feeds the
-// sequencer empty tick batches; each one runs the full CC lifecycle and
-// execution-watermark advance with zero transactions, which is exactly
-// the reclamation machinery with no work attached.
+// arena slabs waiting for a trim check. Once the engine is quiet (see
+// idleQuietPolls) the loop feeds the sequencer empty tick batches; each
+// one runs the full CC lifecycle and execution-watermark advance with
+// zero transactions, which is exactly the reclamation machinery with no
+// work attached.
 //
 // Pacing: on each transition to idle the loop grants itself enough
 // ticks for one full directory sweep (plus slack), renewed whenever a
@@ -644,21 +629,28 @@ func (e *Engine) idleLoop() {
 	defer e.idleWG.Done()
 	t := time.NewTicker(idleTickInterval)
 	defer t.Stop()
-	idle := false
-	credit := 0
-	var last uint64
+	quiet, credit := 0, 0
+	var last, acked uint64
 	for {
 		select {
 		case <-e.idleStop:
 			return
 		case <-t.C:
 		}
-		if e.execWatermark() != e.seqBase+e.batches.Load() || len(e.subCh) != 0 {
-			idle = false
+		if a := e.ackedBatch.Load(); a != acked {
+			quiet, acked = 0, a // a real batch completed
 			continue
 		}
-		if p := e.reclaimProgress(); !idle || p != last {
-			idle, last = true, p
+		// Before the first batch there is nothing to reclaim, and a tick
+		// would close CheckpointNow's post-load window.
+		if n := e.batches.Load(); n == 0 || e.execWatermark() != e.seqBase+n || len(e.subCh) != 0 {
+			continue
+		}
+		if quiet++; quiet < idleQuietPolls {
+			continue
+		}
+		if p := e.reclaimProgress(); quiet == idleQuietPolls || p != last {
+			last = p
 			credit = e.DirectoryEntries()/reapSweepPerBatch + idleTickSlack
 		}
 		if credit <= 0 {
@@ -756,6 +748,10 @@ func (e *Engine) Load(k txn.Key, v []byte) error {
 // entry per transaction: nil for commit, the transaction's own error for a
 // logic abort. The serialization order of the whole system is the
 // submission order.
+//
+// A call runs a fixed sequence of admission policies — rejectDuplicateWrites,
+// divertReads, gateDurable — and then hands its pipelined transactions to
+// the sequencer and its diverted readers to the snapshot-read pool.
 func (e *Engine) ExecuteBatch(ts []txn.Txn) []error {
 	res := make([]error, len(ts))
 	if len(ts) == 0 {
@@ -775,152 +771,17 @@ func (e *Engine) ExecuteBatch(ts []txn.Txn) []error {
 	if o != nil {
 		t0 = o.now()
 	}
-
-	// Reject transactions whose write-set repeats a key before they can
-	// reach the pipeline: a duplicate would chain a placeholder onto the
-	// transaction's own earlier placeholder and livelock the executor.
-	// Only the offending transactions are refused; the rest proceed.
-	valid := ts
-	var orig []int
-	// Fast-path classification happens in the same pass: nro counts
-	// read-only transactions, and roValid materializes their indices into
-	// valid — but only once the submission turns out to be mixed, so the
-	// pure cases (all-read or all-write, the hot ones) never pay for it
-	// and WriteSet is consulted exactly once per transaction.
-	fastOn := e.fastCh != nil
-	nro := 0
-	var roValid []int
-	mixed := false
-	for i, t := range ts {
-		ws := t.WriteSet()
-		if k, dup := txn.FindDuplicateKey(ws); dup {
-			if orig == nil {
-				orig = make([]int, 0, len(ts)-1)
-				valid = make([]txn.Txn, 0, len(ts)-1)
-				for j := 0; j < i; j++ {
-					orig = append(orig, j)
-					valid = append(valid, ts[j])
-				}
-			}
-			res[i] = fmt.Errorf("%w: key %+v", ErrDuplicateWriteKey, k)
-			continue
-		}
-		vi := i
-		if orig != nil {
-			vi = len(valid)
-			orig = append(orig, i)
-			valid = append(valid, t)
-		}
-		if !fastOn {
-			continue
-		}
-		isRO := len(ws) == 0
-		if isRO {
-			nro++
-		}
-		if !mixed {
-			if isRO && nro-1 != vi {
-				mixed = true // first reader after writers
-			} else if !isRO && nro > 0 {
-				// First writer after an all-read-only prefix: backfill it.
-				mixed = true
-				roValid = make([]int, vi, len(ts))
-				for j := range roValid {
-					roValid[j] = j
-				}
-			}
-		}
-		if mixed && isRO {
-			roValid = append(roValid, vi)
-		}
-	}
-	if len(valid) == 0 {
-		return res
-	}
-
 	// The acknowledged-batch bound is maintained unconditionally (one
 	// compare-and-swap per completed submission): the inline Read API
 	// depends on it for recency even under DisableReadOnlyFastPath.
-	sub := &submission{txns: valid, res: res, orig: orig, done: make(chan struct{})}
-	sub.obsT0 = t0
-	sub.acked = &e.ackedBatch
-	sub.recency = e.ackedBatch.Load()
-
-	// Read-only fast path: transactions with an empty write-set insert no
-	// placeholders and constrain no other transaction, so they skip the
-	// sequencer → CC → execution pipeline entirely and run on the
-	// snapshot-read pool at the execution watermark (see readpath.go). A
-	// submission mixing writers and readers splits only when the readers
-	// are the majority; below that the split costs more than it saves —
-	// index bookkeeping plus a reader-starved batch that no longer fills
-	// — so the whole call stays pipelined (reads serialize in submission
-	// order, which is always correct; the fast path is an optimization,
-	// not a semantic). Durable engines keep the unconditional split:
-	// diverted readers are exempt from the Loggable requirement, and
-	// pipelining them would retroactively reject mixed calls carrying
-	// non-loggable readers.
-	var roTxns []txn.Txn
-	var roIdx []int
-	if fastOn && nro > 0 {
-		if nro == len(valid) {
-			roTxns, roIdx = valid, orig // idxs nil means identity
-			sub.txns = nil
-		} else if nro*2 > len(valid) || e.cfg.DisableMixedPipelining || e.logOn.Load() {
-			roTxns = make([]txn.Txn, 0, nro)
-			roIdx = make([]int, 0, nro)
-			piped := make([]txn.Txn, 0, len(valid)-nro)
-			pipedIdx := make([]int, 0, len(valid)-nro)
-			r := 0
-			for i, t := range valid {
-				if r < len(roValid) && roValid[r] == i {
-					r++
-					roTxns = append(roTxns, t)
-					roIdx = append(roIdx, sub.origIdx(i))
-				} else {
-					piped = append(piped, t)
-					pipedIdx = append(pipedIdx, sub.origIdx(i))
-				}
-			}
-			sub.txns, sub.orig = piped, pipedIdx
-		}
-	}
-
-	if e.logOn.Load() && len(sub.txns) > 0 {
-		if e.degraded() {
-			// Fail fast: the command log is gone, so no pipelined
-			// transaction can ever be acknowledged. Diverted read-only
-			// transactions still run below, clamped to the last durable
-			// snapshot (see waitSnapshotDurable).
-			err := e.durabilityLostError()
-			for i := range sub.txns {
-				res[sub.origIdx(i)] = err
-			}
-			sub.txns = nil
-		}
-	}
-	if e.logOn.Load() && len(sub.txns) > 0 {
-		for _, t := range sub.txns {
-			if _, ok := t.(txn.Loggable); !ok {
-				// Reject every pipelined transaction: a half-logged batch
-				// could not be replayed in order. Diverted read-only
-				// transactions are exempt — they bypass the log — and
-				// still run below.
-				err := fmt.Errorf("%w (got %T)", ErrNotLoggable, t)
-				for i := range sub.txns {
-					res[sub.origIdx(i)] = err
-				}
-				sub.txns = nil
-				break
-			}
-		}
-		if len(sub.txns) > 0 {
-			sub.ackCh = e.ackCh
-		}
-	}
-	if len(sub.txns) == 0 && len(roTxns) == 0 {
+	sub := &submission{res: res, done: make(chan struct{}), obsT0: t0, acked: &e.ackedBatch, recency: e.ackedBatch.Load()}
+	nro := rejectDuplicateWrites(sub, ts)
+	roTxns, roIdx := e.divertReads(sub, nro)
+	e.gateDurable(sub)
+	n := int64(len(sub.txns) + len(roTxns))
+	if n == 0 {
 		return res
 	}
-	n := int64(len(sub.txns) + len(roTxns))
 	sub.remaining.Store(n)
 	if len(sub.txns) > 0 {
 		e.subCh <- sub
@@ -935,6 +796,103 @@ func (e *Engine) ExecuteBatch(ts []txn.Txn) []error {
 		o.m.Stages[obs.StageSubmit].RecordN(0, uint64(o.now()-t0), uint64(n))
 	}
 	return res
+}
+
+// rejectDuplicateWrites admits into sub.txns every transaction of ts whose
+// write-set names no key twice and fails the rest with ErrDuplicateWriteKey.
+// sub.orig stays nil (the identity mapping) unless something is rejected.
+// It returns how many admitted transactions are read-only.
+func rejectDuplicateWrites(sub *submission, ts []txn.Txn) (nro int) {
+	sub.txns = ts
+	for i, t := range ts {
+		ws := t.WriteSet()
+		if k, dup := txn.FindDuplicateKey(ws); dup {
+			if sub.orig == nil {
+				sub.orig = make([]int, i, len(ts)-1)
+				for j := range sub.orig {
+					sub.orig[j] = j
+				}
+				sub.txns = append(make([]txn.Txn, 0, len(ts)-1), ts[:i]...)
+			}
+			sub.res[i] = fmt.Errorf("%w: key %+v", ErrDuplicateWriteKey, k)
+			continue
+		}
+		if sub.orig != nil {
+			sub.orig = append(sub.orig, i)
+			sub.txns = append(sub.txns, t)
+		}
+		if len(ws) == 0 {
+			nro++
+		}
+	}
+	return nro
+}
+
+// divertReads takes sub's read-only transactions off the pipeline and
+// returns them with their result slots (nil slots mean the identity
+// mapping) for the snapshot-read pool (see readpath.go). A mixed call
+// splits only when its readers are the strict majority; below that the
+// split's bookkeeping and the reader-starved batch it leaves cost more
+// than they save, and pipelined reads serialize in submission order,
+// which is always correct. Durable engines always split: diverted readers
+// are exempt from the Loggable requirement, and pipelining them would
+// reject mixed calls carrying non-loggable readers.
+func (e *Engine) divertReads(sub *submission, nro int) ([]txn.Txn, []int) {
+	if e.fastCh == nil || nro == 0 {
+		return nil, nil
+	}
+	if nro == len(sub.txns) {
+		ro, idx := sub.txns, sub.orig
+		sub.txns, sub.orig = nil, nil
+		return ro, idx
+	}
+	if nro*2 <= len(sub.txns) && !e.cfg.ablate.DisableMixedPipelining && !e.logOn.Load() {
+		return nil, nil
+	}
+	ro := make([]txn.Txn, 0, nro)
+	roIdx := make([]int, 0, nro)
+	piped := make([]txn.Txn, 0, len(sub.txns)-nro)
+	pipedIdx := make([]int, 0, len(sub.txns)-nro)
+	for i, t := range sub.txns {
+		if len(t.WriteSet()) == 0 {
+			ro, roIdx = append(ro, t), append(roIdx, sub.origIdx(i))
+		} else {
+			piped, pipedIdx = append(piped, t), append(pipedIdx, sub.origIdx(i))
+		}
+	}
+	sub.txns, sub.orig = piped, pipedIdx
+	return ro, roIdx
+}
+
+// gateDurable applies the command log's admission rules to sub's
+// pipelined transactions on a durable engine, failing all of them
+// together: a degraded engine can never acknowledge them, and a
+// non-Loggable one would leave a half-logged batch replay could not
+// reproduce. Diverted readers bypass the log and still run, clamped to
+// the durable snapshot when degraded (see waitSnapshotDurable).
+func (e *Engine) gateDurable(sub *submission) {
+	if !e.logOn.Load() || len(sub.txns) == 0 {
+		return
+	}
+	var err error
+	if e.degraded() {
+		err = e.durabilityLostError()
+	} else {
+		for _, t := range sub.txns {
+			if _, ok := t.(txn.Loggable); !ok {
+				err = fmt.Errorf("%w (got %T)", ErrNotLoggable, t)
+				break
+			}
+		}
+	}
+	if err == nil {
+		sub.ackCh = e.ackCh
+		return
+	}
+	for i := range sub.txns {
+		sub.res[sub.origIdx(i)] = err
+	}
+	sub.txns = nil
 }
 
 // Close drains the pipeline, makes the log durable, and stops all

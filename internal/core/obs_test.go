@@ -55,7 +55,7 @@ func TestObsStageTimeline(t *testing.T) {
 	cfg.LogDir = t.TempDir()
 	// The exact-count assertions below need every sequenced batch to be a
 	// test submission; keep the idle ticker's empty batches out.
-	cfg.DisableIdleReap = true
+	cfg.ablate.DisableIdleReap = true
 	e, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -225,7 +225,7 @@ func TestDisablePoolingIdenticalResults(t *testing.T) {
 		cfg.ExecWorkers = 2
 		cfg.BatchSize = 64
 		cfg.Capacity = 1 << 12
-		cfg.DisablePooling = disable
+		cfg.ablate.DisablePooling = disable
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -522,7 +522,7 @@ func TestFastPathMixedWithDuplicateRejection(t *testing.T) {
 	var s1, s2 uint64
 	var r1, r2 int
 	res := e.ExecuteBatch([]txn.Txn{
-		roSum([]txn.Key{key(2)}, &s1, &r1), // all-ro prefix: exercises the backfill
+		roSum([]txn.Key{key(2)}, &s1, &r1), // a reader ahead of the rejected slot
 		dup,
 		incTxn(1),
 		roSum([]txn.Key{key(2)}, &s2, &r2),

@@ -203,11 +203,11 @@ func TestAdaptiveReapConvergesFaster(t *testing.T) {
 		cfg.ExecWorkers = 2
 		cfg.BatchSize = 1024 // compact delete phase: few in-flight sweeps
 		cfg.Capacity = 1 << 14
-		cfg.DisableAdaptiveReap = disableAdaptive
+		cfg.ablate.DisableAdaptiveReap = disableAdaptive
 		// Convergence must be governed by the sweep budget alone: idle
 		// ticks would reap for both arms while the loop sleeps and wash
 		// out the comparison.
-		cfg.DisableIdleReap = true
+		cfg.ablate.DisableIdleReap = true
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -281,7 +281,7 @@ func TestDisableReapingIdenticalResults(t *testing.T) {
 		cfg.ExecWorkers = 2
 		cfg.BatchSize = 64
 		cfg.Capacity = 1 << 12
-		cfg.DisableReaping = disable
+		cfg.ablate.DisableReaping = disable
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)

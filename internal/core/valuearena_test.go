@@ -311,7 +311,7 @@ func TestDisableValueArenaIdenticalResults(t *testing.T) {
 		cfg.ExecWorkers = 2
 		cfg.BatchSize = 64
 		cfg.Capacity = 1 << 12
-		cfg.DisableValueArena = disable
+		cfg.ablate.DisableValueArena = disable
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -359,7 +359,7 @@ func TestIdleReapDrain(t *testing.T) {
 		cfg.BatchSize = 128 // both submissions land as single batches
 		cfg.Capacity = 1 << 12
 		cfg.GC = true
-		cfg.DisableIdleReap = disable
+		cfg.ablate.DisableIdleReap = disable
 		e, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -417,6 +417,54 @@ func TestIdleReapDrain(t *testing.T) {
 	if ticks := d.Stats().IdleTicks; ticks != 0 {
 		t.Errorf("DisableIdleReap engine recorded %d idle ticks", ticks)
 	}
+}
+
+// TestIdleTicksQuietUnderLoad checks that the idle ticker stays out of a
+// busy engine's way: two submitters alternating small calls with short
+// pauses leave the pipeline caught up between batches many times a
+// millisecond, but never quiet for a whole tick window, so empty batches
+// must stay a sliver of the batch stream.
+func TestIdleTicksQuietUnderLoad(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Capacity = 1 << 12
+	e, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	for i := 0; i < 1024; i++ {
+		if err := e.Load(txn.Key{Table: 1, ID: uint64(i)}, txn.NewValue(16, 0)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := e.Stats()
+	stop := time.Now().Add(300 * time.Millisecond)
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; time.Now().Before(stop); i++ {
+				k := txn.Key{Table: 1, ID: uint64((i*2 + w) % 1024)}
+				put := &txn.Proc{
+					Writes: []txn.Key{k},
+					Body:   func(c txn.Ctx) error { return c.Write(k, txn.NewValue(16, uint64(i))) },
+				}
+				if err := e.ExecuteBatch([]txn.Txn{put})[0]; err != nil {
+					t.Error(err)
+					return
+				}
+				time.Sleep(200 * time.Microsecond)
+			}
+		}(w)
+	}
+	wg.Wait()
+	after := e.Stats()
+	batches, ticks := after.Batches-before.Batches, after.IdleTicks-before.IdleTicks
+	if batches == 0 || ticks*50 > batches {
+		t.Fatalf("%d idle ticks in %d batches under load, want at most 2%%", ticks, batches)
+	}
+	t.Logf("%d idle ticks in %d batches", ticks, batches)
 }
 
 // TestIdleTicksDurableRecovery checks that the ticker's empty batches are

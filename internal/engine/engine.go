@@ -95,7 +95,8 @@ type Stats struct {
 	// back to the runtime by the value arenas' high-watermark trim.
 	ValueSlabsTrimmed uint64
 	// IdleTicks counts empty lifecycle batches a quiescent BOHM engine
-	// injected to finish reclamation (see Config.DisableIdleReap).
+	// injected to finish reclamation (the DisableIdleReap ablation, set
+	// through core.WithAblations, turns them off).
 	IdleTicks uint64
 	// TimestampFetches counts atomic fetch-and-increment operations on a
 	// global timestamp counter (Hekaton/SI; zero for BOHM by design).

@@ -63,7 +63,7 @@ var factories = []struct {
 		cfg.ExecWorkers = 3
 		cfg.BatchSize = 32
 		cfg.Capacity = 1 << 12
-		cfg.DisablePooling = true
+		cfg = core.WithAblations(cfg, core.Ablations{DisablePooling: true})
 		e, err := core.New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -193,6 +193,53 @@ func TestHotKeyIncrements(t *testing.T) {
 		}
 		if got != n {
 			t.Errorf("%s: hot counter = %d, want %d", name, got, n)
+		}
+	})
+}
+
+// TestFirstInsertIncrements races the very first insert of a record: no
+// key is loaded, and each transaction reads its key, then writes 1 if it
+// is missing or the value plus one if present. Transactions on the same
+// key sit next to each other in the batch, so concurrent workers create
+// each record at once. Every commit must count exactly once: two "first"
+// versions that both commit lose an increment.
+func TestFirstInsertIncrements(t *testing.T) {
+	forEachEngine(t, func(t *testing.T, name string, _ bool, e engine.Engine) {
+		const nkeys, per = 64, 8
+		ts := make([]txn.Txn, 0, nkeys*per)
+		for id := uint64(0); id < nkeys; id++ {
+			k := key(id)
+			for j := 0; j < per; j++ {
+				ts = append(ts, &txn.Proc{
+					Reads:  []txn.Key{k},
+					Writes: []txn.Key{k},
+					Body: func(ctx txn.Ctx) error {
+						v, err := ctx.Read(k)
+						if errors.Is(err, txn.ErrNotFound) {
+							return ctx.Write(k, txn.NewValue(8, 1))
+						}
+						if err != nil {
+							return err
+						}
+						return ctx.Write(k, txn.Incremented(v, 1))
+					},
+				})
+			}
+		}
+		commits := make([]uint64, nkeys)
+		for i, err := range e.ExecuteBatch(ts) {
+			if err == nil {
+				commits[i/per]++
+			}
+		}
+		for id := uint64(0); id < nkeys; id++ {
+			got, err := readVal(t, e, id)
+			if err != nil && !(commits[id] == 0 && errors.Is(err, txn.ErrNotFound)) {
+				t.Fatalf("%s: key %d: %v", name, id, err)
+			}
+			if got != commits[id] {
+				t.Errorf("%s: key %d = %d after %d commits", name, id, got, commits[id])
+			}
 		}
 	})
 }

@@ -118,8 +118,14 @@ func (c *hCtx) install(k txn.Key, val []byte, tomb bool) error {
 	target := c.claimTarget(ch)
 	if target == nil && !c.conflict {
 		// Inserting the record's first (live) version: serialize against
-		// concurrent inserters with the chain-level claim.
+		// concurrent inserters with the chain-level claim. Another first
+		// inserter may have committed and released the claim since
+		// claimTarget's walk, so walk again under the claim and back out
+		// if the record now has a version.
 		if !ch.insertClaim.CompareAndSwap(nil, c.r) {
+			c.conflict = true
+		} else if c.claimTarget(ch) != nil || c.conflict {
+			ch.insertClaim.CompareAndSwap(c.r, nil)
 			c.conflict = true
 		} else {
 			c.r.chains = append(c.r.chains, ch)

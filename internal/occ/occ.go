@@ -110,7 +110,8 @@ type worker struct {
 	e       *Engine
 	lastTID uint64
 	reads   []readEntry
-	scratch [][]byte // per-read stable copies, buffers reused across txns
+	absent  []txn.Key // keys read as never-existing, validated at commit
+	scratch [][]byte  // per-read stable copies, buffers reused across txns
 	nextBuf int
 }
 
@@ -138,6 +139,7 @@ var _ txn.Ctx = (*occCtx)(nil)
 
 func (w *worker) newCtx(writes []txn.Key) *occCtx {
 	w.reads = w.reads[:0]
+	w.absent = w.absent[:0]
 	w.nextBuf = 0
 	n := len(writes)
 	return &occCtx{
@@ -173,6 +175,7 @@ func (c *occCtx) Read(k txn.Key) ([]byte, error) {
 	}
 	rec := c.w.e.store.Get(k)
 	if rec == nil {
+		c.w.absent = append(c.w.absent, k)
 		return nil, txn.ErrNotFound
 	}
 	slot := c.w.nextBuf
@@ -342,6 +345,20 @@ func (c *occCtx) commit() error {
 		}
 		if r.tid > maxTID {
 			maxTID = r.tid
+		}
+	}
+
+	// A read of a never-existing key stays valid while nobody has
+	// installed the record: it may have sprung into existence since (an
+	// inserter's phase 1, or our own), but it must be uncommitted (TID 0)
+	// and not locked by another transaction.
+	for _, k := range c.w.absent {
+		if rec := c.w.e.store.Get(k); rec != nil {
+			cur := rec.TID()
+			if cur&storage.TIDMask != 0 || cur&storage.TIDLockBit != 0 && !c.ownsLock(rec) {
+				unlockAll()
+				return errConflict
+			}
 		}
 	}
 
